@@ -19,14 +19,13 @@ from pathlib import Path
 
 from . import __version__
 from .core import Constraint, DetectorModel, MixtureModel
-from .discriminate import (InvalidModelError, NoIntersectionError, build_scheme,
-                           confusion, confusion_to_json, scheme_to_json)
-from .fit import (FitConfig, FitSetupError, expected_counts, fit_spectrum,
-                  report_from_json, report_to_json)
-from .noise import (EfficiencyInput, InsufficientDataError, efficiency_to_json,
-                    measured_efficiency, noise_report_to_json, variance_law)
-from .simulate import (CapacityError, FormatError, SimConfig, read_histogram_csv,
-                       run, write_histogram_csv, write_pulses_csv)
+from .discriminate import build_scheme, confusion, confusion_to_json, scheme_to_json
+from .fit import (FitConfig, expected_counts, fit_spectrum, report_from_json,
+                  report_to_json)
+from .noise import (EfficiencyInput, efficiency_to_json, measured_efficiency,
+                    noise_report_to_json, variance_law)
+from .simulate import (SimConfig, read_histogram_csv, run, write_histogram_csv,
+                       write_pulses_csv)
 
 __all__ = ["main", "RunManifest", "ConfigError"]
 
@@ -71,10 +70,7 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 
 def _load_json(path) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
+    text = Path(path).read_text()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -145,7 +141,7 @@ def _build_sim_config(doc: dict, seed_override) -> SimConfig:
     try:
         return SimConfig(model=model, n_pulses=int(n_pulses), seed=int(seed),
                          bin_width=doc.get("bin_width", "auto"))
-    except (TypeError, ValueError, CapacityError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: {exc}") from exc
 
 
@@ -366,11 +362,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, FitSetupError, InsufficientDataError, InvalidModelError,
-            NoIntersectionError, CapacityError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

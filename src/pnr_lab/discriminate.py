@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DecisionScheme, MixtureModel, gaussian_cdf, gaussian_pdf
+from .core import DecisionScheme, MixtureModel, gaussian_cdf
 
 __all__ = [
     "ConfusionMatrix",
@@ -29,11 +29,6 @@ __all__ = [
     "confusion_to_json",
     "confusion_to_csv",
 ]
-
-# relative variance difference below which the two-Gaussian intersection is
-# taken at its analytic equal-variance limit, the midpoint
-_EQUAL_VAR_EPS = 1e-12
-
 
 class NoIntersectionError(ValueError):
     """The two densities do not cross between their means (pathological overlap)."""
@@ -64,19 +59,21 @@ class ConfusionMatrix:
 def threshold(x_i: float, sigma_i: float, x_next: float, sigma_next: float) -> float:
     """Equal-weight crossing point of two Gaussian densities, between the means.
 
-    Closed form: with dx = x_next - x_i and a = sigma_next^2 - sigma_i^2,
+    Closed form: with dx = x_next - x_i, g = ln(sigma_next/sigma_i) and
+    R = dx^2 + 2*(sigma_next^2 - sigma_i^2)*g,
 
-        t = x_i - sigma_i^2*dx/a
-                + sigma_i*sigma_next*sqrt(dx^2 - 2*a*ln(sigma_i/sigma_next))/a
+        t = x_i + sigma_i^2*(dx^2 + 2*sigma_next^2*g)
+                  / (sigma_i^2*dx + sigma_i*sigma_next*sqrt(R))
 
-    When the variances agree to within ~1e-12 relative the formula is 0/0 and
-    the analytic limit, the midpoint, is returned instead.
+    This is the root of the quadratic that lies between the means, written
+    without the difference of variances in a denominator, so it holds to
+    full precision for equal and nearly equal widths (equal widths give the
+    midpoint).
 
     Raises NoIntersectionError when no crossing exists strictly between the
     means (one density dominating the whole interval -- extreme width ratio
-    at small separation).  A negative radicand would mean the same thing and
-    is guarded too, although for distinct variances the radicand is provably
-    nonnegative.
+    at small separation).  A negative R would mean the same thing and is
+    guarded too, although for equal weights it is provably nonnegative.
     """
     for name, val in (("x_i", x_i), ("sigma_i", sigma_i),
                       ("x_next", x_next), ("sigma_next", sigma_next)):
@@ -86,48 +83,43 @@ def threshold(x_i: float, sigma_i: float, x_next: float, sigma_next: float) -> f
         raise ValueError("standard deviations must be > 0")
     if x_next <= x_i:
         raise ValueError(f"x_next must exceed x_i, got {x_i} >= {x_next}")
+    return _crossing(x_i, sigma_i, x_next, sigma_next, 0.0)
 
-    var_i, var_n = sigma_i * sigma_i, sigma_next * sigma_next
-    a = var_n - var_i
+
+def _crossing(x_i, sigma_i, x_next, sigma_next, log_w_ratio) -> float:
+    """Crossing of w_i*phi_i and w_next*phi_next between the means, where
+    log_w_ratio = ln(w_i/w_next); the closed form of `threshold` with g
+    shifted by log_w_ratio."""
     dx = x_next - x_i
-    if abs(a) < _EQUAL_VAR_EPS * var_i:
-        return x_i + 0.5 * dx
-    radicand = dx * dx - 2.0 * a * math.log(sigma_i / sigma_next)
+    g = log_w_ratio + math.log(sigma_next / sigma_i)
+    radicand = dx * dx + 2.0 * (sigma_next * sigma_next - sigma_i * sigma_i) * g
     if radicand < 0:
         raise NoIntersectionError(
             f"no density intersection for peaks at {x_i} and {x_next} "
             f"(radicand {radicand:.3e})")
-    t = x_i + (-var_i * dx + sigma_i * sigma_next * math.sqrt(radicand)) / a
+    var_i = sigma_i * sigma_i
+    t = x_i + var_i * (dx * dx + 2.0 * sigma_next * sigma_next * g) / (
+        var_i * dx + sigma_i * sigma_next * math.sqrt(radicand))
     if not (x_i < t < x_next):
         raise NoIntersectionError(
             f"densities at {x_i} (sigma {sigma_i}) and {x_next} (sigma {sigma_next}) "
-            "do not cross between the means; the wider peak dominates the interval")
+            "do not cross between the means; one peak dominates the interval")
     return t
 
 
-def _weighted_intersection(x1, s1, w1, x2, s2, w2) -> float:
-    """Crossing of w1*phi1 and w2*phi2 between the means, by bisection."""
-    f = lambda x: w1 * gaussian_pdf(x, x1, s1) - w2 * gaussian_pdf(x, x2, s2)
-    lo, hi = x1, x2
-    flo, fhi = f(lo), f(hi)
-    if flo <= 0 or fhi >= 0:
-        raise NoIntersectionError(
-            f"weighted densities at {x1} and {x2} do not cross between the means")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _region_mass(means, sigmas, cuts) -> np.ndarray:
+    """mass[j, i]: unit mass of peak j inside region i of the cuts."""
+    edges = np.concatenate([[-np.inf], cuts, [np.inf]])
+    cdf = np.stack([gaussian_cdf(edges, m, s) for m, s in zip(means, sigmas)])
+    return cdf[:, 1:] - cdf[:, :-1]
 
 
 def build_scheme(model: MixtureModel, priors: str = "equal") -> DecisionScheme:
     """Thresholds plus per-number error probabilities for a mixture.
 
-    priors="equal" uses the closed-form equal-weight intersections (the
-    worst case for discrimination); priors="from-weights" finds the
-    intersections of the weighted densities numerically.
+    priors="equal" uses the equal-weight intersections (the worst case for
+    discrimination); priors="from-weights" uses the intersections of the
+    weighted densities.  Both come from the closed form of `threshold`.
 
     error_per_number[i] sums, over every other peak j, the unit-normalized
     mass of peak j inside region i, each term scaled by peak j's prior
@@ -153,21 +145,18 @@ def build_scheme(model: MixtureModel, priors: str = "equal") -> DecisionScheme:
         if (w <= 0).any():
             raise InvalidModelError("from-weights priors require strictly positive weights")
         pri = w / w.sum()
-        cuts = [_weighted_intersection(means[i], sigmas[i], pri[i],
-                                       means[i + 1], sigmas[i + 1], pri[i + 1])
+        log_pri = np.log(pri)
+        cuts = [_crossing(means[i], sigmas[i], means[i + 1], sigmas[i + 1],
+                          log_pri[i] - log_pri[i + 1])
                 for i in range(k - 1)]
     else:
         raise ValueError(f"priors must be 'equal' or 'from-weights', got {priors!r}")
 
-    edges = np.concatenate([[-np.inf], cuts, [np.inf]])
-    # mass[j, i]: unit mass of peak j inside region i
-    upper = np.stack([gaussian_cdf(edges[1:], means[j], sigmas[j]) for j in range(k)])
-    lower = np.stack([gaussian_cdf(edges[:-1], means[j], sigmas[j]) for j in range(k)])
-    mass = upper - lower
+    mass = _region_mass(means, sigmas, cuts)
     rel = pri * k  # prior relative to uniform
-    err = [float(np.sum(rel * mass[:, i]) - rel[i] * mass[i, i]) for i in range(k)]
+    err = rel @ mass - rel * mass.diagonal()
     return DecisionScheme(thresholds=tuple(cuts), priors=tuple(pri),
-                          error_per_number=tuple(err))
+                          error_per_number=tuple(float(e) for e in err))
 
 
 def classify(area, scheme: DecisionScheme):
@@ -200,16 +189,13 @@ def one_vs_many_error(model: MixtureModel, priors) -> float:
         raise ValueError("priors must be nonnegative and not all zero")
     pri = pri / pri.sum()
     scheme = build_scheme(model, "equal")
-    cut = scheme.thresholds[1]
-    means, sigmas = model.means(), model.std_devs()
     p_one = pri[1]
     p_many = pri[2:].sum()
     if p_one + p_many <= 0:
         raise ValueError("priors give zero mass to both '1' and '>=2'")
-    # one-photon pulses leaking above the cut, many-photon pulses below it
-    err = p_one * (1.0 - gaussian_cdf(cut, means[1], sigmas[1]))
-    err += sum(pri[j] * gaussian_cdf(cut, means[j], sigmas[j])
-               for j in range(2, model.n_peaks))
+    mass = _region_mass(model.means(), model.std_devs(), scheme.thresholds)
+    # one-photon pulses decided >=2, many-photon pulses decided 0 or 1
+    err = p_one * mass[1, 2:].sum() + pri[2:] @ mass[2:, :2].sum(axis=1)
     return float(err / (p_one + p_many))
 
 
@@ -224,13 +210,8 @@ def confusion(model: MixtureModel, priors) -> ConfusionMatrix:
     pri = np.asarray(priors, dtype=float)
     if pri.shape != (k,):
         raise ValueError(f"priors must have length {k}")
-    edges = np.concatenate([[-np.inf], scheme.thresholds, [np.inf]])
-    means, sigmas = model.means(), model.std_devs()
-    rows = []
-    for i in range(k):
-        cdf = gaussian_cdf(edges, means[i], sigmas[i])
-        rows.append(cdf[1:] - cdf[:-1])
-    return ConfusionMatrix(np.array(rows), tuple(pri))
+    return ConfusionMatrix(_region_mass(model.means(), model.std_devs(), scheme.thresholds),
+                           tuple(pri))
 
 
 # ---------------------------------------------------------------------------

@@ -16,22 +16,22 @@ Three constraint regimes, all sharing the mean ladder x_i = x0 + i*D - i^2*a:
   POISSON_WEIGHTS          : weights pinned to a renormalized Poisson pmf (mu free)
   LINEAR_VARIANCE          : sigma_i^2 = v_elec + v_0*[i>0] + i*v_M, weights free
 
-Weights live on the simplex via a softmax with the first logit pinned to 0;
-sigma-like parameters are log-reparameterized so they stay positive.  Mean
-and weight derivatives are analytic; sigma-parameter derivatives use central
-finite differences.
+Each regime pairs a width law (K log sigmas, or the three log variance
+components) with a weight law (softmax logits with the first pinned to 0, or
+log mu).  Log parameters keep scales positive.  Every Jacobian column is
+analytic: d(bin mass)/d log sigma_i is the difference of z*phi(z) across the
+bin, and the variance components reach it by the chain rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .core import (Constraint, GaussianPeak, Histogram, MixtureModel,
-                   linear_fit, poisson_weights)
+from .core import Constraint, Histogram, MixtureModel, linear_fit, poisson_weights
 
 __all__ = [
     "FitConfig",
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_FD_STEP = 1e-6          # central-difference step on log-reparameterized params
+_LOG_CLIP = 30.0         # log parameters are clipped to +/- this before exp
 _PROMINENCE = 0.02       # a maximum counts only above this fraction of the peak bin
 _SMOOTH_BINS = 5
 
@@ -190,16 +190,17 @@ class _Problem:
         self.constraint = constraint
         self.k = k
         self.idx = np.arange(k, dtype=float)
+        self.variance_law = constraint is Constraint.LINEAR_VARIANCE
+        self.poisson = constraint is Constraint.POISSON_WEIGHTS
+        self.n_width = 3 if self.variance_law else k
+        # d sigma_i^2 / d(v_elec, v_0, v_M) for sigma_i^2 = v_elec + v_0*[i>0] + i*v_M
+        self.var_parts = np.stack([np.ones(k), (self.idx > 0).astype(float), self.idx],
+                                  axis=1)
 
     # -- layout ---------------------------------------------------------
 
     def n_params(self) -> int:
-        k = self.k
-        if self.constraint is Constraint.FREE_WEIGHTS_FREE_SIGMAS:
-            return 2 * k + 2
-        if self.constraint is Constraint.POISSON_WEIGHTS:
-            return k + 4
-        return k + 5  # LINEAR_VARIANCE
+        return 3 + self.n_width + (1 if self.poisson else self.k - 1)
 
     def pack(self, model: MixtureModel) -> np.ndarray:
         k = self.k
@@ -238,20 +239,16 @@ class _Problem:
 
     def unpack(self, p: np.ndarray):
         """-> (x0, spacing, sat, sigmas, weights, mu_or_None)"""
-        k = self.k
         x0, spacing, sat = p[0], p[1], p[2]
-        if self.constraint is Constraint.FREE_WEIGHTS_FREE_SIGMAS:
-            sig = _bounded_exp(p[3:3 + k])
-            w = _softmax(p[3 + k:])
-            return x0, spacing, sat, sig, w, None
-        if self.constraint is Constraint.POISSON_WEIGHTS:
-            sig = _bounded_exp(p[3:3 + k])
-            mu = float(_bounded_exp(np.asarray(p[3 + k])))
-            return x0, spacing, sat, sig, poisson_weights(mu, k), mu
-        v_elec, v_0, v_m = _bounded_exp(p[3:6])
-        sig = np.sqrt(v_elec + np.where(self.idx > 0, v_0, 0.0) + self.idx * v_m)
-        w = _softmax(p[6:])
-        return x0, spacing, sat, sig, w, None
+        width, tail = p[3:3 + self.n_width], p[3 + self.n_width:]
+        if self.variance_law:
+            sig = np.sqrt(self.var_parts @ _bounded_exp(width))
+        else:
+            sig = _bounded_exp(width)
+        if self.poisson:
+            mu = float(_bounded_exp(tail[0]))
+            return x0, spacing, sat, sig, poisson_weights(mu, self.k), mu
+        return x0, spacing, sat, sig, _softmax(tail), None
 
     def to_model(self, p: np.ndarray) -> MixtureModel:
         x0, spacing, sat, sig, w, mu = self.unpack(p)
@@ -274,8 +271,8 @@ class _Problem:
         return float(np.sum(self.wls * r * r))
 
     def jacobian(self, p: np.ndarray, pmat, means, sig, w, mu) -> np.ndarray:
-        k, n = self.k, len(self.counts)
-        cols = np.empty((n, self.n_params()))
+        n_width = self.n_width
+        cols = np.empty((len(self.counts), self.n_params()))
         z = (self.edges[:, None] - means[None, :]) / sig[None, :]
         phi = _phi(z)
         # d(bin mass)/d(mean) for each peak
@@ -284,42 +281,24 @@ class _Problem:
         cols[:, 0] = wdpdx.sum(axis=1)                       # x0
         cols[:, 1] = wdpdx @ self.idx                        # spacing
         cols[:, 2] = wdpdx @ (-self.idx**2)                  # sat
-        mix = pmat @ w                                       # per-bin model mass
 
-        if self.constraint in (Constraint.FREE_WEIGHTS_FREE_SIGMAS,
-                               Constraint.POISSON_WEIGHTS):
-            # finite differences on each log sigma_i: only column i moves
-            for i in range(k):
-                up = _cdf_col(self.edges, means[i], sig[i] * math.exp(_FD_STEP))
-                dn = _cdf_col(self.edges, means[i], sig[i] * math.exp(-_FD_STEP))
-                cols[:, 3 + i] = self.n_total * w[i] * (up - dn) / (2.0 * _FD_STEP)
-            if self.constraint is Constraint.FREE_WEIGHTS_FREE_SIGMAS:
-                for j in range(1, k):
-                    cols[:, 3 + k + j - 1] = self.n_total * w[j] * (pmat[:, j] - mix)
-            else:
-                ibar = float(np.sum(w * self.idx))
-                cols[:, 3 + k] = self.n_total * (pmat @ (w * (self.idx - ibar)))
+        # d(bin mass)/d(log sigma) for each peak
+        zphi = z * phi
+        wdpds = self.n_total * w[None, :] * (zphi[:-1, :] - zphi[1:, :])
+        if self.variance_law:
+            # d log sigma_i / d log v_j = v_j * (d sigma_i^2 / d v_j) / (2 sigma_i^2)
+            v = _bounded_exp(p[3:6])
+            wdpds = wdpds @ (self.var_parts * v[None, :] / (2.0 * sig[:, None] ** 2))
+        # a log parameter at or past the clip does not move the model
+        cols[:, 3:3 + n_width] = wdpds * (np.abs(p[3:3 + n_width]) < _LOG_CLIP)
+
+        if self.poisson:
+            ibar = float(np.sum(w * self.idx))
+            cols[:, 3 + n_width] = self.n_total * (pmat @ (w * (self.idx - ibar)))
         else:
-            # LINEAR_VARIANCE: the three variance components move every sigma
-            for j in range(3):
-                for sign in (+1, -1):
-                    q = p.copy()
-                    q[3 + j] += sign * _FD_STEP
-                    _, _, _, sig_q, _, _ = self.unpack(q)
-                    pm = _cdf_cols(self.edges, means, sig_q) @ w
-                    if sign > 0:
-                        up = pm
-                    else:
-                        dn = pm
-                cols[:, 3 + j] = self.n_total * (up - dn) / (2.0 * _FD_STEP)
-            for j in range(1, k):
-                cols[:, 6 + j - 1] = self.n_total * w[j] * (pmat[:, j] - mix)
+            mix = pmat @ w                                   # per-bin model mass
+            cols[:, 3 + n_width:] = self.n_total * w[None, 1:] * (pmat[:, 1:] - mix[:, None])
         return cols
-
-
-def _cdf_col(edges, mean, sigma):
-    c = ndtr((edges - mean) / sigma)
-    return c[1:] - c[:-1]
 
 
 def _softmax(tail_logits: np.ndarray) -> np.ndarray:
@@ -332,7 +311,7 @@ def _softmax(tail_logits: np.ndarray) -> np.ndarray:
 def _bounded_exp(logp: np.ndarray) -> np.ndarray:
     # Keeps scale parameters finite when a trial step or an unidentifiable
     # (near-zero-weight) peak sends a log parameter running.
-    return np.exp(np.clip(logp, -30.0, 30.0))
+    return np.exp(np.clip(logp, -_LOG_CLIP, _LOG_CLIP))
 
 
 def _window_excess(means: np.ndarray, edges: np.ndarray) -> float:
@@ -357,10 +336,8 @@ def _best_width_scale(prob: _Problem, p: np.ndarray) -> np.ndarray:
     them.  A few objective evaluations at scaled widths put the start on the
     right side of that ridge.  Ties keep the unscaled start.
     """
-    if prob.constraint is Constraint.LINEAR_VARIANCE:
-        sl, mult = slice(3, 6), 2.0  # variance parameters: scale by s**2
-    else:
-        sl, mult = slice(3, 3 + prob.k), 1.0
+    sl = slice(3, 3 + prob.n_width)
+    mult = 2.0 if prob.variance_law else 1.0  # variance parameters: scale by s**2
     best_p, best_obj = p, math.inf
     for s in _WIDTH_SCALES:
         q = p.copy()

@@ -171,9 +171,6 @@ def run(config: SimConfig, workers: int = 1):
     fields true_incident/true_detected/area.  Deterministic for a fixed
     seed; `workers` only changes wall-clock time, never the output.
     """
-    if config.n_pulses > MAX_PULSES:
-        raise CapacityError(
-            f"n_pulses={config.n_pulses} exceeds the storage budget of {MAX_PULSES}")
     n_chunks = (config.n_pulses + CHUNK_PULSES - 1) // CHUNK_PULSES
 
     def one_chunk(k: int) -> np.ndarray:

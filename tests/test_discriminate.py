@@ -25,12 +25,15 @@ from pnr_lab.discriminate import confusion_to_csv, confusion_to_json, scheme_to_
 from conftest import REF_SAT, REF_SPACING, REF_X0, law_stds
 
 
-def bisect_intersection(x1, s1, x2, s2):
-    """Crossing of the two log-densities between the means (independent oracle)."""
+def bisect_intersection(x1, s1, x2, s2, w1=1.0, w2=1.0):
+    """Crossing of the two weighted log-densities between the means
+    (independent oracle); None when they do not cross there."""
     def f(x):
-        return (-0.5 * ((x - x1) / s1) ** 2 - math.log(s1)) - (
-            -0.5 * ((x - x2) / s2) ** 2 - math.log(s2))
+        return (math.log(w1) - 0.5 * ((x - x1) / s1) ** 2 - math.log(s1)) - (
+            math.log(w2) - 0.5 * ((x - x2) / s2) ** 2 - math.log(s2))
     lo, hi = x1, x2
+    if f(lo) <= 0 or f(hi) >= 0:
+        return None
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0:
@@ -67,6 +70,12 @@ def test_threshold_matches_bisection_randomized():
             continue
         assert t == pytest.approx(bisect_intersection(x1, s1, x1 + dx, s2),
                                   abs=1e-6)
+
+
+def test_threshold_nearly_equal_widths_keeps_precision():
+    # 50-digit value of the crossing; the unrationalized quotient gave 50.0000128
+    assert threshold(0.0, 10.0, 100.0, 10.0 * (1 + 1e-10)) == pytest.approx(
+        49.9999999976, abs=1e-9)
 
 
 def test_threshold_scale_invariance():
@@ -128,6 +137,34 @@ def test_scheme_from_weights_shifts_cut_toward_light_peak():
     t_sk = build_scheme(m_sk, "from-weights").thresholds[0]
     assert t_eq == pytest.approx(50.0, abs=1e-9)
     assert t_sk > t_eq  # the heavy low peak claims more of the axis
+
+
+def test_scheme_from_weights_matches_bisection_randomized():
+    rng = np.random.default_rng(12)
+    outcomes = set()
+    for trial in range(600):
+        x1 = rng.uniform(-50, 50)
+        dx = rng.uniform(5.0, 500.0)
+        s1 = rng.uniform(0.5, 0.45 * dx)
+        s2 = s1 if trial % 3 == 0 else rng.uniform(0.5, 0.45 * dx)
+        w1 = rng.uniform(0.005, 0.995)
+        m = MixtureModel.from_peaks([x1, x1 + dx], [s1, s2], [w1, 1.0 - w1])
+        expected = bisect_intersection(x1, s1, x1 + dx, s2, w1, 1.0 - w1)
+        outcomes.add((trial % 3 == 0, expected is None))
+        if expected is None:
+            with pytest.raises(NoIntersectionError):
+                build_scheme(m, "from-weights")
+        else:
+            assert build_scheme(m, "from-weights").thresholds[0] == pytest.approx(
+                expected, abs=1e-6)
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_scheme_from_weights_far_apart_peaks():
+    # both densities underflow at the midpoint; the crossing is 50 + ln(9)/100
+    m = MixtureModel.from_peaks([0.0, 100.0], [1.0, 1.0], [0.9, 0.1])
+    assert build_scheme(m, "from-weights").thresholds[0] == pytest.approx(
+        50.0 + math.log(9.0) / 100.0, abs=1e-9)
 
 
 def test_scheme_rejects_bad_inputs(catalog_model):

@@ -74,12 +74,22 @@ def test_free_parameter_counts():
         assert p.n_params() == expect, kind
 
 
-def test_jacobian_matches_finite_differences():
+@pytest.mark.parametrize("kind, log_v0", [
+    pytest.param(Constraint.FREE_WEIGHTS_FREE_SIGMAS, None, id="free"),
+    pytest.param(Constraint.POISSON_WEIGHTS, None, id="poisson"),
+    pytest.param(Constraint.LINEAR_VARIANCE, None, id="linear_variance"),
+    # log v_0 past the +/-30 clip: the model does not move with it
+    pytest.param(Constraint.LINEAR_VARIANCE, -40.0, id="linear_variance-v0_clipped_low"),
+    pytest.param(Constraint.LINEAR_VARIANCE, 40.0, id="linear_variance-v0_clipped_high"),
+])
+def test_jacobian_matches_finite_differences(kind, log_v0):
     model = MixtureModel.from_ladder(2.0, 100.0, 1.0, [9.0, 12.0, 15.0],
                                      [0.3, 0.45, 0.25])
     h = synthetic_hist(model, n=50_000, seed=3)
-    prob = _Problem(h, Constraint.FREE_WEIGHTS_FREE_SIGMAS, 3)
+    prob = _Problem(h, kind, 3)
     p0 = prob.pack(init_guess(h, 3))
+    if log_v0 is not None:
+        p0[4] = log_v0
     m, pmat, means, sig, w, mu = prob.counts_model(p0)
     jac = prob.jacobian(p0, pmat, means, sig, w, mu)
     step = 1e-6
@@ -89,6 +99,8 @@ def test_jacobian_matches_finite_differences():
         num = (prob.counts_model(up)[0] - prob.counts_model(dn)[0]) / (2 * step)
         scale = max(np.abs(num).max(), 1.0)
         assert np.allclose(jac[:, j], num, atol=5e-4 * scale), f"column {j}"
+    if log_v0 is not None:
+        assert np.all(jac[:, 4] == 0.0)
 
 
 # ---------------------------------------------------------------- fitting
