@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
-from .core import DecisionScheme, MixtureModel, gaussian_cdf
+from .core import DecisionScheme, MixtureModel
 
 __all__ = [
     "ConfusionMatrix",
@@ -110,7 +111,7 @@ def _crossing(x_i, sigma_i, x_next, sigma_next, log_w_ratio) -> float:
 def _region_mass(means, sigmas, cuts) -> np.ndarray:
     """mass[j, i]: unit mass of peak j inside region i of the cuts."""
     edges = np.concatenate([[-np.inf], cuts, [np.inf]])
-    cdf = np.stack([gaussian_cdf(edges, m, s) for m, s in zip(means, sigmas)])
+    cdf = ndtr((edges - means[:, None]) / sigmas[:, None])
     return cdf[:, 1:] - cdf[:, :-1]
 
 
@@ -128,6 +129,16 @@ def build_scheme(model: MixtureModel, priors: str = "equal") -> DecisionScheme:
     peaks contribute, not just neighbors (non-adjacent terms are tiny for
     realistic ladders but cost nothing).
     """
+    cuts, pri, mass = _cuts_and_mass(model, priors)
+    rel = pri * model.n_peaks  # prior relative to uniform
+    err = rel @ mass - rel * mass.diagonal()
+    return DecisionScheme(thresholds=tuple(cuts), priors=tuple(pri),
+                          error_per_number=tuple(float(e) for e in err))
+
+
+def _cuts_and_mass(model: MixtureModel, priors: str):
+    """Cuts, normalized priors and the region-mass matrix on those cuts, for
+    the prior mode of `build_scheme`."""
     k = model.n_peaks
     if k < 2:
         raise InvalidModelError("need at least 2 peaks for a decision scheme")
@@ -151,12 +162,7 @@ def build_scheme(model: MixtureModel, priors: str = "equal") -> DecisionScheme:
                 for i in range(k - 1)]
     else:
         raise ValueError(f"priors must be 'equal' or 'from-weights', got {priors!r}")
-
-    mass = _region_mass(means, sigmas, cuts)
-    rel = pri * k  # prior relative to uniform
-    err = rel @ mass - rel * mass.diagonal()
-    return DecisionScheme(thresholds=tuple(cuts), priors=tuple(pri),
-                          error_per_number=tuple(float(e) for e in err))
+    return cuts, pri, _region_mass(means, sigmas, cuts)
 
 
 def classify(area, scheme: DecisionScheme):
@@ -188,12 +194,11 @@ def one_vs_many_error(model: MixtureModel, priors) -> float:
     if (pri < 0).any() or pri.sum() <= 0:
         raise ValueError("priors must be nonnegative and not all zero")
     pri = pri / pri.sum()
-    scheme = build_scheme(model, "equal")
+    _, _, mass = _cuts_and_mass(model, "equal")
     p_one = pri[1]
     p_many = pri[2:].sum()
     if p_one + p_many <= 0:
         raise ValueError("priors give zero mass to both '1' and '>=2'")
-    mass = _region_mass(model.means(), model.std_devs(), scheme.thresholds)
     # one-photon pulses decided >=2, many-photon pulses decided 0 or 1
     err = p_one * mass[1, 2:].sum() + pri[2:] @ mass[2:, :2].sum(axis=1)
     return float(err / (p_one + p_many))
@@ -205,13 +210,12 @@ def confusion(model: MixtureModel, priors) -> ConfusionMatrix:
     Rows are conditional on the true number, so the priors do not change the
     entries; they are carried along for downstream weighting.
     """
-    scheme = build_scheme(model, "equal")
+    _, _, mass = _cuts_and_mass(model, "equal")
     k = model.n_peaks
     pri = np.asarray(priors, dtype=float)
     if pri.shape != (k,):
         raise ValueError(f"priors must have length {k}")
-    return ConfusionMatrix(_region_mass(model.means(), model.std_devs(), scheme.thresholds),
-                           tuple(pri))
+    return ConfusionMatrix(mass, tuple(pri))
 
 
 # ---------------------------------------------------------------------------

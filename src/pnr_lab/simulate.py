@@ -20,6 +20,7 @@ are used.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,6 +53,12 @@ PULSE_DTYPE = np.dtype([
     ("true_incident", np.int64),
     ("true_detected", np.int64),
     ("area", np.float64),
+])
+
+_HISTOGRAM_DTYPE = np.dtype([
+    ("bin_left", np.float64),
+    ("bin_right", np.float64),
+    ("count", np.int64),
 ])
 
 
@@ -213,10 +220,14 @@ def write_pulses_csv(path, records: np.ndarray) -> None:
     with open(path, "w") as fh:
         fh.write(CSV_VERSION + "\n")
         fh.write("true_incident,true_detected,area\n")
-        for rec in records:
-            # repr() is the shortest string that parses back to the same
-            # float, so files round-trip exactly and re-runs are byte-stable
-            fh.write(f"{int(rec['true_incident'])},{int(rec['true_detected'])},{float(rec['area'])!r}\n")
+        # column-wise in CHUNK_PULSES blocks keeps the text buffer bounded;
+        # tolist() yields Python floats, whose repr is the shortest string
+        # that parses back to the same float, so files round-trip exactly
+        # and re-runs are byte-stable
+        for start in range(0, len(records), CHUNK_PULSES):
+            block = records[start:start + CHUNK_PULSES]
+            fh.write("".join(map("{},{},{!r}\n".format, block["true_incident"].tolist(),
+                                 block["true_detected"].tolist(), block["area"].tolist())))
 
 
 def read_pulses_csv(path) -> np.ndarray:
@@ -225,13 +236,7 @@ def read_pulses_csv(path) -> np.ndarray:
         header = fh.readline().strip()
         if header != "true_incident,true_detected,area":
             raise FormatError(f"{path}: unexpected pulse CSV header {header!r}")
-        rows = [line.split(",") for line in fh if line.strip()]
-    out = np.empty(len(rows), dtype=PULSE_DTYPE)
-    for j, row in enumerate(rows):
-        if len(row) != 3:
-            raise FormatError(f"{path}: bad pulse row {j + 1}")
-        out[j] = (int(row[0]), int(row[1]), float(row[2]))
-    return out
+        return _read_rows(fh, path, PULSE_DTYPE)
 
 
 def write_histogram_csv(path, hist: Histogram) -> None:
@@ -240,8 +245,9 @@ def write_histogram_csv(path, hist: Histogram) -> None:
         fh.write(f"# total_pulses={hist.total_pulses} underflow={hist.underflow} "
                  f"overflow={hist.overflow}\n")
         fh.write("bin_left,bin_right,count\n")
-        for left, right, count in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
-            fh.write(f"{float(left)!r},{float(right)!r},{int(count)}\n")
+        edges = hist.bin_edges.tolist()
+        fh.write("".join(map("{!r},{!r},{}\n".format, edges[:-1], edges[1:],
+                             hist.counts.tolist())))
 
 
 def read_histogram_csv(path) -> Histogram:
@@ -254,32 +260,47 @@ def read_histogram_csv(path) -> Histogram:
                 if "=" in part:
                     key, _, val = part.partition("=")
                     if key in meta:
-                        meta[key] = int(val)
+                        try:
+                            meta[key] = int(val)
+                        except ValueError:
+                            raise FormatError(f"{path}: bad {key} value {val!r}") from None
             line = fh.readline()
         if line.strip() != "bin_left,bin_right,count":
             raise FormatError(f"{path}: unexpected histogram CSV header {line.strip()!r}")
-        lefts, rights, counts = [], [], []
-        for j, raw in enumerate(fh):
-            if not raw.strip():
-                continue
-            row = raw.split(",")
-            if len(row) != 3:
-                raise FormatError(f"{path}: bad histogram row {j + 1}")
-            lefts.append(float(row[0]))
-            rights.append(float(row[1]))
-            counts.append(int(row[2]))
-    if not lefts:
+        rows = _read_rows(fh, path, _HISTOGRAM_DTYPE)
+    if len(rows) == 0:
         raise FormatError(f"{path}: histogram has no bins")
-    for a, b in zip(rights[:-1], lefts[1:]):
-        if abs(a - b) > 1e-9 * max(1.0, abs(a)):
-            raise FormatError(f"{path}: bins are not contiguous near {a}")
-    edges = np.array(lefts + [rights[-1]])
-    counts = np.array(counts, dtype=np.int64)
+    lefts, rights = rows["bin_left"], rows["bin_right"]
+    gap = np.abs(rights[:-1] - lefts[1:]) > 1e-9 * np.maximum(1.0, np.abs(rights[:-1]))
+    if gap.any():
+        raise FormatError(f"{path}: bins are not contiguous near {float(rights[gap.argmax()])}")
+    edges = np.append(lefts, rights[-1])
+    counts = rows["count"].copy()
     total = meta["total_pulses"]
     if total is None:
         total = int(counts.sum()) + meta["underflow"] + meta["overflow"]
-    return Histogram(edges, counts, total_pulses=total,
-                     underflow=meta["underflow"], overflow=meta["overflow"])
+    try:
+        return Histogram(edges, counts, total_pulses=total,
+                         underflow=meta["underflow"], overflow=meta["overflow"])
+    except ValueError as exc:  # negative counts, non-increasing edges, ...
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _read_rows(fh, path, dtype) -> np.ndarray:
+    """Parse the rest of `fh` as comma-separated rows of `dtype` in one
+    np.loadtxt call.  Blank lines are skipped; any other malformed row
+    (wrong field count, unparsable or out-of-range value, a '#' line) is a
+    FormatError naming the file."""
+    rows = (line for line in fh if line.strip())
+    first = next(rows, None)
+    if first is None:
+        # np.loadtxt warns on empty input; an empty body is valid here
+        return np.empty(0, dtype)
+    try:
+        return np.loadtxt(itertools.chain((first,), rows), delimiter=",", dtype=dtype,
+                          comments=None, ndmin=1)
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad row: {exc}") from None
 
 
 def _check_version(fh, path) -> None:

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from pnr_lab import (CapacityError, DetectorModel, FormatError, SimConfig,
                      histogram_from_areas, read_histogram_csv, read_pulses_csv,
                      run, sample_pulse, substream, write_histogram_csv,
                      write_pulses_csv)
-from pnr_lab.simulate import CHUNK_PULSES, MAX_PULSES
+from pnr_lab.simulate import CHUNK_PULSES, MAX_PULSES, PULSE_DTYPE
 
 
 def plain_model(**over):
@@ -167,11 +169,88 @@ def test_pulse_csv_round_trip(tmp_path):
     back = read_pulses_csv(p)
     assert np.array_equal(back["true_incident"], recs["true_incident"])
     assert np.array_equal(back["true_detected"], recs["true_detected"])
-    assert np.allclose(back["area"], recs["area"], rtol=0, atol=0)
+    assert np.array_equal(back["area"].view(np.int64), recs["area"].view(np.int64))
     # writing the same records twice gives the same bytes
     p2 = tmp_path / "again.csv"
     write_pulses_csv(p2, recs)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_pulse_csv_writer_matches_per_row_format(tmp_path):
+    # 8192 + 5 rows cross the writer's block boundary; the awkward areas
+    # are the shortest-repr cases (subnormal, exponent forms, signed zero,
+    # non-finite) a vectorised formatter could get wrong
+    n = CHUNK_PULSES + 5
+    recs = np.empty(n, dtype=PULSE_DTYPE)
+    recs["true_incident"] = np.arange(n) % 17
+    recs["true_detected"] = np.arange(n) % 13
+    recs["area"] = np.linspace(-50.0, 1200.0, n) / 3.0
+    specials = [5e-324, 1e-05, 1e+16, -0.0, float("nan"), float("inf")]
+    for offset in (0, CHUNK_PULSES - 3):
+        recs["area"][offset:offset + len(specials)] = specials
+    p = tmp_path / "pulses.csv"
+    write_pulses_csv(p, recs)
+    oracle = "# pnr-lab v1\ntrue_incident,true_detected,area\n" + "".join(
+        f"{int(r['true_incident'])},{int(r['true_detected'])},{float(r['area'])!r}\n"
+        for r in recs)
+    assert p.read_bytes() == oracle.encode()
+    back = read_pulses_csv(p)
+    assert np.array_equal(back.view(np.uint8), recs.view(np.uint8))
+
+
+PULSE_HEAD = "# pnr-lab v1\ntrue_incident,true_detected,area\n"
+
+
+@pytest.mark.parametrize("body", [
+    "1,2\n",
+    "1,2,100.5,7\n",
+    "1,2,100.5,\n",
+    "1.0,2,100.5\n",
+    "1,2,abc\n",
+    "1,2,100.5\n# note\n3,3,400.0\n",
+    "1,2,1_000.5\n",
+    "99999999999999999999,2,100.5\n",
+], ids=["two_fields", "four_fields", "trailing_comma", "float_count",
+        "non_numeric_area", "comment_in_body", "underscore_float", "beyond_int64"])
+def test_pulse_csv_malformed_row_is_format_error(tmp_path, body):
+    p = tmp_path / "bad.csv"
+    p.write_text(PULSE_HEAD + body)
+    with pytest.raises(FormatError, match=re.escape(str(p))):
+        read_pulses_csv(p)
+
+
+def test_pulse_csv_skips_blank_lines(tmp_path):
+    p = tmp_path / "blank.csv"
+    p.write_text(PULSE_HEAD + "\n1,2,100.5\n   \n\t\n3,3,-0.0\n\n")
+    back = read_pulses_csv(p)
+    assert back["true_incident"].tolist() == [1, 3]
+    assert back["true_detected"].tolist() == [2, 3]
+    assert back["area"].tolist() == [100.5, -0.0]
+    assert math.copysign(1.0, back["area"][1]) == -1.0
+
+
+def test_pulse_csv_header_only_is_empty_without_warning(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_text(PULSE_HEAD + "\n  \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_pulses_csv(p)
+    assert back.dtype == PULSE_DTYPE
+    assert len(back) == 0
+
+
+@pytest.mark.parametrize("text", [
+    "# pnr-lab v1\n# total_pulses=ten\nbin_left,bin_right,count\n0.0,1.0,5\n",
+    "# pnr-lab v1\nbin_left,bin_right,count\n0.0,1.0,5\n1.0,2.0,x\n",
+    "# pnr-lab v1\nbin_left,bin_right,count\n0.0,1.0\n",
+    "# pnr-lab v1\nbin_left,bin_right,count\n\n",
+    "# pnr-lab v1\nbin_left,bin_right,count\n0.0,1.0,-5\n",
+], ids=["bad_meta_value", "bad_count", "two_fields", "no_bins", "negative_count"])
+def test_histogram_csv_malformed_is_format_error(tmp_path, text):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(str(p))):
+        read_histogram_csv(p)
 
 
 def test_histogram_csv_round_trip(tmp_path):
