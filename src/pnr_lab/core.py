@@ -74,21 +74,26 @@ def gaussian_pdf(x, mean: float, std_dev: float):
     return float(out) if np.isscalar(x) else out
 
 
-def gaussian_cdf(x, mean: float, std_dev: float):
+def gaussian_cdf(x, mean, std_dev):
     """Normal CDF, exact to double precision (well inside the 1e-7 contract).
 
-    +/-inf are legitimate limit inputs and map to 1/0; NaN anywhere is an
-    error.  Scalars in, scalar out; arrays in, array out.
+    x, mean and std_dev broadcast against each other, so one call can
+    evaluate several peaks on one grid.  +/-inf are legitimate limit values
+    of x and map to 1/0; NaN in x is an error, as is a non-finite mean or a
+    std_dev that is not finite and > 0.  Scalars in, scalar out; arrays in,
+    array out.
     """
-    if std_dev <= 0 or not math.isfinite(std_dev):
+    std_dev = np.asarray(std_dev, dtype=float)
+    if not (np.isfinite(std_dev) & (std_dev > 0)).all():
         raise ValueError(f"std_dev must be finite and > 0, got {std_dev}")
-    if not math.isfinite(mean):
+    mean = np.asarray(mean, dtype=float)
+    if not np.isfinite(mean).all():
         raise ValueError(f"mean must be finite, got {mean}")
     arr = np.asarray(x, dtype=float)
     if np.isnan(arr).any():
         raise ValueError("gaussian_cdf: NaN input")
     out = ndtr((arr - mean) / std_dev)
-    return float(out) if np.isscalar(x) else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def linear_fit(points, weights=None):

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-from .core import DecisionScheme, MixtureModel
+from .core import DecisionScheme, MixtureModel, gaussian_cdf
 
 __all__ = [
     "ConfusionMatrix",
@@ -111,7 +110,7 @@ def _crossing(x_i, sigma_i, x_next, sigma_next, log_w_ratio) -> float:
 def _region_mass(means, sigmas, cuts) -> np.ndarray:
     """mass[j, i]: unit mass of peak j inside region i of the cuts."""
     edges = np.concatenate([[-np.inf], cuts, [np.inf]])
-    cdf = ndtr((edges - means[:, None]) / sigmas[:, None])
+    cdf = gaussian_cdf(edges, means[:, None], sigmas[:, None])
     return cdf[:, 1:] - cdf[:, :-1]
 
 

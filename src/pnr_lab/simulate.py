@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -297,8 +298,15 @@ def _read_rows(fh, path, dtype) -> np.ndarray:
         # np.loadtxt warns on empty input; an empty body is valid here
         return np.empty(0, dtype)
     try:
-        return np.loadtxt(itertools.chain((first,), rows), delimiter=",", dtype=dtype,
-                          comments=None, ndmin=1)
+        with warnings.catch_warnings():
+            # numpy releases that still carry the 1.23 deprecation parse a
+            # non-integer count such as "2.7", "1e3" or one beyond int64 as
+            # a float, warn once and truncate; as an error the warning makes
+            # loadtxt raise ValueError, so such a count is refused whatever
+            # the caller's warning filters are
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(itertools.chain((first,), rows), delimiter=",", dtype=dtype,
+                              comments=None, ndmin=1)
     except ValueError as exc:
         raise FormatError(f"{path}: bad row: {exc}") from None
 

@@ -44,6 +44,20 @@ def test_gaussian_cdf_array_and_scalar():
     assert isinstance(gaussian_cdf(0.2, 0.0, 1.0), float)
 
 
+def test_gaussian_cdf_broadcasts_means_and_widths():
+    x = np.array([-np.inf, 0.5, 2.0, np.inf])
+    means = np.array([0.0, 1.0, 3.0])
+    sigmas = np.array([1.0, 0.5, 2.0])
+    grid = gaussian_cdf(x, means[:, None], sigmas[:, None])
+    assert grid.shape == (3, 4)
+    for row, m, s in zip(grid, means, sigmas):
+        assert np.array_equal(row, gaussian_cdf(x, m, s))
+    with pytest.raises(ValueError):
+        gaussian_cdf(x, means[:, None], np.array([[1.0], [0.0], [2.0]]))
+    with pytest.raises(ValueError):
+        gaussian_cdf(x, np.array([[0.0], [np.nan]]), 1.0)
+
+
 def test_gaussian_cdf_rejects_bad_input():
     with pytest.raises(ValueError):
         gaussian_cdf(np.nan, 0.0, 1.0)

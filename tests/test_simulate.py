@@ -201,17 +201,23 @@ def test_pulse_csv_writer_matches_per_row_format(tmp_path):
 PULSE_HEAD = "# pnr-lab v1\ntrue_incident,true_detected,area\n"
 
 
+# "default" overrides the suite's warnings-as-errors, so the refusals below
+# are the readers' own and not an artefact of the test configuration
+@pytest.mark.filterwarnings("default")
 @pytest.mark.parametrize("body", [
     "1,2\n",
     "1,2,100.5,7\n",
     "1,2,100.5,\n",
     "1.0,2,100.5\n",
+    "1,2.7,100.5\n",
+    "1e3,2,100.5\n",
     "1,2,abc\n",
     "1,2,100.5\n# note\n3,3,400.0\n",
     "1,2,1_000.5\n",
     "99999999999999999999,2,100.5\n",
 ], ids=["two_fields", "four_fields", "trailing_comma", "float_count",
-        "non_numeric_area", "comment_in_body", "underscore_float", "beyond_int64"])
+        "fractional_count", "exponent_count", "non_numeric_area", "comment_in_body",
+        "underscore_float", "beyond_int64"])
 def test_pulse_csv_malformed_row_is_format_error(tmp_path, body):
     p = tmp_path / "bad.csv"
     p.write_text(PULSE_HEAD + body)
@@ -239,18 +245,47 @@ def test_pulse_csv_header_only_is_empty_without_warning(tmp_path):
     assert len(back) == 0
 
 
+@pytest.mark.filterwarnings("default")
 @pytest.mark.parametrize("text", [
     "# pnr-lab v1\n# total_pulses=ten\nbin_left,bin_right,count\n0.0,1.0,5\n",
     "# pnr-lab v1\nbin_left,bin_right,count\n0.0,1.0,5\n1.0,2.0,x\n",
+    "# pnr-lab v1\nbin_left,bin_right,count\n0.0,1.0,2.7\n",
+    "# pnr-lab v1\nbin_left,bin_right,count\n0.0,1.0,99999999999999999999\n",
     "# pnr-lab v1\nbin_left,bin_right,count\n0.0,1.0\n",
     "# pnr-lab v1\nbin_left,bin_right,count\n\n",
     "# pnr-lab v1\nbin_left,bin_right,count\n0.0,1.0,-5\n",
-], ids=["bad_meta_value", "bad_count", "two_fields", "no_bins", "negative_count"])
+], ids=["bad_meta_value", "bad_count", "fractional_count", "beyond_int64", "two_fields",
+        "no_bins", "negative_count"])
 def test_histogram_csv_malformed_is_format_error(tmp_path, text):
     p = tmp_path / "bad.csv"
     p.write_text(text)
     with pytest.raises(FormatError, match=re.escape(str(p))):
         read_histogram_csv(p)
+
+
+@pytest.mark.filterwarnings("default")
+@pytest.mark.parametrize("reader, head", [
+    (read_pulses_csv, PULSE_HEAD),
+    (read_histogram_csv, "# pnr-lab v1\nbin_left,bin_right,count\n"),
+], ids=["pulses", "histogram"])
+def test_integer_via_float_fallback_is_refused(tmp_path, monkeypatch, reader, head):
+    # numpy releases that still carry the 1.23 deprecation parse a count
+    # such as "2.7" as a float, warn once and truncate; loadtxt turns the
+    # warning into its ValueError only when warnings are errors.  Mimic that
+    # loadtxt: the readers must refuse the row under default filters too.
+    def fallback_loadtxt(rows, *, dtype, **kwargs):
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+        except DeprecationWarning as exc:
+            raise ValueError("could not convert string '2.7' to int64") from exc
+        return np.array([(0, 1, 2)], dtype)  # a well-formed row of either file
+
+    monkeypatch.setattr(np, "loadtxt", fallback_loadtxt)
+    p = tmp_path / "fallback.csv"
+    p.write_text(head + "2.7,2.7,2.7\n")
+    with pytest.raises(FormatError, match=re.escape(str(p))):
+        reader(p)
 
 
 def test_histogram_csv_round_trip(tmp_path):
