@@ -14,8 +14,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .core import Constraint, DetectorModel, MixtureModel
@@ -25,7 +27,7 @@ from .fit import (FitConfig, expected_counts, fit_spectrum, report_from_json,
 from .noise import (EfficiencyInput, efficiency_to_json, measured_efficiency,
                     noise_report_to_json, variance_law)
 from .simulate import (SimConfig, read_histogram_csv, run, write_histogram_csv,
-                       write_pulses_csv)
+                       write_pulses_csv, write_table)
 
 __all__ = ["main", "RunManifest", "ConfigError"]
 
@@ -53,15 +55,7 @@ class RunManifest:
 
     def write(self, out_dir: Path) -> Path:
         path = out_dir / "manifest.json"
-        doc = {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "outputs": self.outputs,
-            "duration_s": self.duration_s,
-        }
-        path.write_text(json.dumps(doc, indent=2) + "\n")
+        path.write_text(json.dumps(asdict(self), indent=2) + "\n")
         return path
 
 
@@ -190,16 +184,10 @@ def _write_fit_outputs(report, hist, out: Path, args) -> list:
     per_peak, total_curve = expected_counts(report.model, hist.bin_edges,
                                             float(hist.counts.sum()))
     k = report.model.n_peaks
-    with open(curve_path, "w") as fh:
-        fh.write("# pnr-lab v1\n")
-        fh.write("bin_center," + "count," +
-                 ",".join(f"peak_{i}" for i in range(k)) + ",model_total\n")
-        centers = hist.centers
-        for b in range(len(centers)):
-            row = [f"{centers[b]:.10g}", str(int(hist.counts[b]))]
-            row += [f"{per_peak[i, b]:.10g}" for i in range(k)]
-            row.append(f"{total_curve[b]:.10g}")
-            fh.write(",".join(row) + "\n")
+    write_table(curve_path,
+                "bin_center,count," + "".join(f"peak_{i}," for i in range(k)) + "model_total",
+                "{:.10g},{}" + ",{:.10g}" * (k + 1),
+                hist.centers, hist.counts, *per_peak, total_curve)
     _say(args, f"fit {'converged' if report.converged else 'DID NOT converge'} "
          f"after {report.iterations} iterations -> {report_path}")
     for warning in report.warnings:
@@ -236,24 +224,18 @@ def _write_analysis(report, out: Path, args) -> list:
         "noise": noise_report_to_json(noise_report),
     }, indent=2) + "\n")
 
+    n = np.arange(k)
     errors_path = out / "errors_vs_n.csv"
-    with open(errors_path, "w") as fh:
-        fh.write("# pnr-lab v1\n")
-        fh.write("n,error\n")
-        for i, err in enumerate(scheme.error_per_number):
-            fh.write(f"{i},{err:.10g}\n")
+    write_table(errors_path, "n,error", "{},{:.10g}", n, scheme.error_per_number)
 
     variance_path = out / "variance_vs_n.csv"
-    elec = model.peaks[0].std_dev ** 2
-    with open(variance_path, "w") as fh:
-        fh.write("# pnr-lab v1\n")
-        fh.write("n,std_dev,variance,law_variance\n")
-        for pk in model.peaks:
-            if pk.index == 0:
-                law = elec
-            else:
-                law = elec + noise_report.sigma_0_sq + noise_report.sigma_m_sq * pk.index
-            fh.write(f"{pk.index},{pk.std_dev:.10g},{pk.std_dev**2:.10g},{law:.10g}\n")
+    std = model.std_devs()
+    var = std ** 2
+    elec = var[0]
+    # summed left to right: grouping sigma_0_sq + n*sigma_m_sq first moves the last bit
+    law = np.where(n > 0, elec + noise_report.sigma_0_sq + noise_report.sigma_m_sq * n, elec)
+    write_table(variance_path, "n,std_dev,variance,law_variance", "{},{:.10g},{:.10g},{:.10g}",
+                n, std, var, law)
 
     _say(args, f"analysis -> {analysis_path}")
     return [str(analysis_path), str(errors_path), str(variance_path)]

@@ -92,8 +92,22 @@ def gaussian_cdf(x, mean, std_dev):
     arr = np.asarray(x, dtype=float)
     if np.isnan(arr).any():
         raise ValueError("gaussian_cdf: NaN input")
-    out = ndtr((arr - mean) / std_dev)
+    out = _std_normal_cdf((arr - mean) / std_dev)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _std_normal_cdf(z):
+    """Standard normal CDF, elementwise and unvalidated: the one kernel behind
+    `gaussian_cdf` and the fit's bin masses, which need it every step."""
+    return ndtr(z)
+
+
+def _poisson_log_pmf(mu: float, n: int) -> np.ndarray:
+    """ln Poisson pmf at k = 0..n-1 for mu > 0, the one definition behind the
+    simulator's draw table and the fit's weights.  math.lgamma, not scipy's
+    gammaln: the two differ by a few ulp at some k."""
+    k = np.arange(n)
+    return k * math.log(mu) - mu - np.array([math.lgamma(j + 1.0) for j in range(n)])
 
 
 def linear_fit(points, weights=None):
@@ -190,7 +204,7 @@ class Histogram:
     """Binned pulse-area spectrum, the exchange format between simulator and fitter.
 
     `counts` covers the bins only; pulses falling outside [edges[0], edges[-1]]
-    are tracked in `underflow`/`overflow`, so sum(counts) <= total_pulses.
+    are tracked in `underflow`/`overflow`; the three sum to at most total_pulses.
     """
 
     bin_edges: np.ndarray
@@ -214,8 +228,10 @@ class Histogram:
             counts = counts.astype(np.int64)
         if (counts < 0).any():
             raise ValueError("counts must be >= 0")
-        if counts.sum() > self.total_pulses:
-            raise ValueError("sum of counts exceeds total_pulses")
+        if self.underflow < 0 or self.overflow < 0:
+            raise ValueError("underflow and overflow must be >= 0")
+        if counts.sum() + self.underflow + self.overflow > self.total_pulses:
+            raise ValueError("sum of counts, underflow and overflow exceeds total_pulses")
         edges.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "bin_edges", edges)
@@ -274,8 +290,7 @@ def poisson_weights(mu: float, k: int) -> np.ndarray:
     """Poisson pmf at 0..k-1, renormalized over those k terms."""
     if mu <= 0:
         raise ValueError("poisson mu must be > 0")
-    i = np.arange(k)
-    logw = -mu + i * math.log(mu) - np.array([math.lgamma(n + 1.0) for n in range(k)])
+    logw = _poisson_log_pmf(mu, k)
     w = np.exp(logw - logw.max())
     return w / w.sum()
 
@@ -425,10 +440,6 @@ class DecisionScheme:
         object.__setattr__(self, "thresholds", thr)
         object.__setattr__(self, "priors", pri)
         object.__setattr__(self, "error_per_number", err)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.thresholds) + 1
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ __all__ = [
     "confusion",
     "scheme_to_json",
     "confusion_to_json",
-    "confusion_to_csv",
 ]
 
 class NoIntersectionError(ValueError):
@@ -231,12 +230,3 @@ def scheme_to_json(scheme: DecisionScheme) -> dict:
 
 def confusion_to_json(cm: ConfusionMatrix) -> dict:
     return {"matrix": cm.matrix.tolist(), "priors": list(cm.priors)}
-
-
-def confusion_to_csv(path, cm: ConfusionMatrix) -> None:
-    k = cm.matrix.shape[0]
-    with open(path, "w") as fh:
-        fh.write("# pnr-lab v1\n")
-        fh.write("true_n," + ",".join(f"decide_{j}" for j in range(k)) + "\n")
-        for i in range(k):
-            fh.write(str(i) + "," + ",".join(f"{v:.10g}" for v in cm.matrix[i]) + "\n")

@@ -29,9 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-from .core import Constraint, Histogram, MixtureModel, linear_fit, poisson_weights
+from .core import (Constraint, Histogram, MixtureModel, _std_normal_cdf, linear_fit,
+                   poisson_weights)
 
 __all__ = [
     "FitConfig",
@@ -80,7 +80,6 @@ class FitReport:
     objective: float
     iterations: int
     converged: bool
-    per_peak: tuple                      # (mean, std_dev, weight) triples
     warnings: tuple = ()
     objective_trace: tuple = ()          # objective after each accepted step
 
@@ -158,8 +157,7 @@ def init_guess(hist: Histogram, n_peaks="auto") -> MixtureModel:
 
 def _cdf_cols(edges: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """(n_bins, K) matrix of per-peak bin masses via CDF differences."""
-    z = (edges[:, None] - means[None, :]) / sigmas[None, :]
-    cdf = ndtr(z)
+    cdf = _std_normal_cdf((edges[:, None] - means[None, :]) / sigmas[None, :])
     return cdf[1:, :] - cdf[:-1, :]
 
 
@@ -445,11 +443,9 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
             converged = True
             break
 
-    model = prob.to_model(p)
-    per_peak = tuple((pk.mean, pk.std_dev, pk.weight) for pk in model.peaks)
-    return FitReport(model=model, objective=obj, iterations=iterations,
-                     converged=converged, per_peak=per_peak,
-                     warnings=tuple(warnings), objective_trace=tuple(trace))
+    return FitReport(model=prob.to_model(p), objective=obj, iterations=iterations,
+                     converged=converged, warnings=tuple(warnings),
+                     objective_trace=tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +502,5 @@ def report_from_json(doc: dict) -> FitReport:
         objective=float(doc.get("objective", math.nan)),
         iterations=int(doc.get("iterations", 0)),
         converged=bool(doc.get("converged", False)),
-        per_peak=tuple((pk.mean, pk.std_dev, pk.weight) for pk in model.peaks),
         warnings=tuple(doc.get("warnings", ())),
     )

@@ -27,9 +27,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .core import DetectorModel, Histogram, substream
+from .core import DetectorModel, Histogram, _poisson_log_pmf, substream
 
 __all__ = [
     "CHUNK_PULSES",
@@ -118,9 +117,7 @@ def _poisson_inverse(rng: np.random.Generator, mu: float, n: int) -> np.ndarray:
     if mu == 0.0:
         return np.zeros(n, dtype=np.int64)
     top = int(mu + 12.0 * math.sqrt(mu) + 20.0)
-    k = np.arange(top + 1)
-    log_pmf = k * math.log(mu) - mu - gammaln(k + 1.0)
-    cdf = np.cumsum(np.exp(log_pmf))
+    cdf = np.cumsum(np.exp(_poisson_log_pmf(mu, top + 1)))
     return np.searchsorted(cdf, u, side="left").astype(np.int64)
 
 
@@ -217,18 +214,26 @@ def histogram_from_areas(areas: np.ndarray, bin_width: float) -> Histogram:
 # CSV exchange formats (versioned)
 # ---------------------------------------------------------------------------
 
-def write_pulses_csv(path, records: np.ndarray) -> None:
+def write_table(path, header: str, row_format: str, *columns) -> None:
+    """Write a pnr-lab v1 table: the version line, `header` (one or more
+    lines), then `row_format` over the aligned 1-D `columns`, one line per row.
+
+    Rows go out in CHUNK_PULSES blocks, keeping the text buffer bounded.
+    tolist() yields Python scalars, so a `{!r}` float field is the shortest
+    string that parses back to the same float: files round-trip exactly.
+    """
+    line = (row_format + "\n").format
+    columns = [np.asarray(c) for c in columns]
     with open(path, "w") as fh:
-        fh.write(CSV_VERSION + "\n")
-        fh.write("true_incident,true_detected,area\n")
-        # column-wise in CHUNK_PULSES blocks keeps the text buffer bounded;
-        # tolist() yields Python floats, whose repr is the shortest string
-        # that parses back to the same float, so files round-trip exactly
-        # and re-runs are byte-stable
-        for start in range(0, len(records), CHUNK_PULSES):
-            block = records[start:start + CHUNK_PULSES]
-            fh.write("".join(map("{},{},{!r}\n".format, block["true_incident"].tolist(),
-                                 block["true_detected"].tolist(), block["area"].tolist())))
+        fh.write(f"{CSV_VERSION}\n{header}\n")
+        for start in range(0, len(columns[0]), CHUNK_PULSES):
+            fh.write("".join(map(line, *(c[start:start + CHUNK_PULSES].tolist()
+                                         for c in columns))))
+
+
+def write_pulses_csv(path, records: np.ndarray) -> None:
+    write_table(path, "true_incident,true_detected,area", "{},{},{!r}",
+                records["true_incident"], records["true_detected"], records["area"])
 
 
 def read_pulses_csv(path) -> np.ndarray:
@@ -241,14 +246,9 @@ def read_pulses_csv(path) -> np.ndarray:
 
 
 def write_histogram_csv(path, hist: Histogram) -> None:
-    with open(path, "w") as fh:
-        fh.write(CSV_VERSION + "\n")
-        fh.write(f"# total_pulses={hist.total_pulses} underflow={hist.underflow} "
-                 f"overflow={hist.overflow}\n")
-        fh.write("bin_left,bin_right,count\n")
-        edges = hist.bin_edges.tolist()
-        fh.write("".join(map("{!r},{!r},{}\n".format, edges[:-1], edges[1:],
-                             hist.counts.tolist())))
+    write_table(path, f"# total_pulses={hist.total_pulses} underflow={hist.underflow} "
+                      f"overflow={hist.overflow}\nbin_left,bin_right,count",
+                "{!r},{!r},{}", hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts)
 
 
 def read_histogram_csv(path) -> Histogram:

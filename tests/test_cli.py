@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnr_lab import Histogram, __version__, photon_flux, write_histogram_csv
+from pnr_lab import (FitConfig, Histogram, __version__, build_scheme, expected_counts,
+                     fit_spectrum, photon_flux, read_histogram_csv, variance_law,
+                     write_histogram_csv)
 from pnr_lab.cli import main
 
 SIM_MODEL = {
@@ -248,6 +250,42 @@ def test_pipeline_nonconvergence_skips_analysis(tmp_path):
     assert main(["pipeline", cfg, "--out-dir", str(out), "--quiet"]) == 4
     assert (out / "fit_report.json").exists()
     assert not (out / "analysis.json").exists()
+
+
+def _tables_by_row_loops(model, hist) -> dict:
+    """fit_curve.csv, errors_vs_n.csv and variance_vs_n.csv built one row at
+    a time with f-strings: an oracle independent of the column writer."""
+    k = model.n_peaks
+    per_peak, total_curve = expected_counts(model, hist.bin_edges, float(hist.counts.sum()))
+    curve = ("# pnr-lab v1\nbin_center,count," + ",".join(f"peak_{i}" for i in range(k))
+             + ",model_total\n")
+    for b, center in enumerate(hist.centers):
+        row = [f"{center:.10g}", str(int(hist.counts[b]))]
+        row += [f"{per_peak[i, b]:.10g}" for i in range(k)]
+        curve += ",".join(row + [f"{total_curve[b]:.10g}"]) + "\n"
+    errors = "# pnr-lab v1\nn,error\n" + "".join(
+        f"{i},{err:.10g}\n" for i, err in enumerate(build_scheme(model).error_per_number))
+    noise = variance_law(model.peaks)
+    elec = model.peaks[0].std_dev ** 2
+    variance = "# pnr-lab v1\nn,std_dev,variance,law_variance\n"
+    for pk in model.peaks:
+        law = elec if pk.index == 0 else elec + noise.sigma_0_sq + noise.sigma_m_sq * pk.index
+        variance += f"{pk.index},{pk.std_dev:.10g},{pk.std_dev**2:.10g},{law:.10g}\n"
+    return {"fit_curve.csv": curve, "errors_vs_n.csv": errors, "variance_vs_n.csv": variance}
+
+
+def test_pipeline_tables_match_row_loop_oracle(tmp_path):
+    fit_doc = {"n_peaks": 8, "constraint": "free"}
+    model = dict(SIM_MODEL, mean_photon_number=3.0 / 0.85)
+    cfg = write_config(tmp_path / "pipe.json", {
+        "simulate": {"model": model, "n_pulses": 20_000, "seed": 3}, "fit": fit_doc})
+    out = tmp_path / "pipe"
+    assert main(["pipeline", cfg, "--out-dir", str(out), "--quiet"]) == 0
+    hist = read_histogram_csv(out / "histogram.csv")
+    report = fit_spectrum(hist, FitConfig(n_peaks=8))
+    assert report.converged and report.model.n_peaks >= 7
+    for name, text in _tables_by_row_loops(report.model, hist).items():
+        assert (out / name).read_bytes() == text.encode(), name
 
 
 # ---------------------------------------------------------------- entry points

@@ -1,12 +1,32 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pnr_lab
 from pnr_lab import (Constraint, DecisionScheme, DegenerateDesignError,
                      DetectorModel, GaussianPeak, Histogram, MixtureModel,
                      NoiseReport, gaussian_cdf, gaussian_pdf, linear_fit,
                      poisson_weights, substream)
+
+
+# ---------------------------------------------------------------- dependencies
+
+def test_scipy_is_imported_only_by_core():
+    importers = set()
+    for path in Path(pnr_lab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                importers.add(path.name)
+    assert importers == {"core.py"}
 
 
 # ---------------------------------------------------------------- substream
@@ -154,6 +174,20 @@ def test_histogram_validation():
     with pytest.raises(ValueError):
         Histogram(bin_edges=np.array([0.0, 1.0, 0.5]), counts=np.array([1, 2]),
                   total_pulses=3)
+
+
+@pytest.mark.parametrize("underflow, overflow, match", [
+    (-7, -1, "must be >= 0"),
+    (0, -1, "must be >= 0"),
+    (50, 0, "exceeds total_pulses"),
+    (1, 1, "exceeds total_pulses"),
+])
+def test_histogram_rejects_impossible_tallies(underflow, overflow, match):
+    edges, counts = np.array([0.0, 1.0, 2.0]), np.array([4, 5])
+    with pytest.raises(ValueError, match=match):
+        Histogram(edges, counts, total_pulses=10, underflow=underflow, overflow=overflow)
+    h = Histogram(edges, counts, total_pulses=10, underflow=1, overflow=0)
+    assert h.counts.sum() + h.underflow + h.overflow == h.total_pulses
 
 
 # ---------------------------------------------------------------- constraints

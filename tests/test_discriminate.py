@@ -20,7 +20,7 @@ from pnr_lab import (
     run,
     threshold,
 )
-from pnr_lab.discriminate import confusion_to_csv, confusion_to_json, scheme_to_json
+from pnr_lab.discriminate import confusion_to_json, scheme_to_json
 
 from conftest import REF_SAT, REF_SPACING, REF_X0, law_stds
 
@@ -288,14 +288,7 @@ def test_scheme_json_round_trip(catalog_model):
     assert doc["error_per_number"] == list(sch.error_per_number)
 
 
-def test_confusion_serializers(tmp_path, catalog_model):
+def test_confusion_serializers(catalog_model):
     cm = confusion(catalog_model, np.full(7, 1 / 7))
     doc = confusion_to_json(cm)
     assert np.allclose(doc["matrix"], cm.matrix)
-    path = tmp_path / "confusion.csv"
-    confusion_to_csv(path, cm)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# pnr-lab v1"
-    assert lines[1].split(",")[:2] == ["true_n", "decide_0"]
-    body = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[2:]])
-    assert np.allclose(body, cm.matrix, atol=1e-9)

@@ -254,8 +254,12 @@ def test_pulse_csv_header_only_is_empty_without_warning(tmp_path):
     "# pnr-lab v1\nbin_left,bin_right,count\n0.0,1.0\n",
     "# pnr-lab v1\nbin_left,bin_right,count\n\n",
     "# pnr-lab v1\nbin_left,bin_right,count\n0.0,1.0,-5\n",
+    "# pnr-lab v1\n# total_pulses=9 underflow=-7 overflow=-1\n"
+    "bin_left,bin_right,count\n0.0,1.0,4\n1.0,2.0,5\n",
+    "# pnr-lab v1\n# total_pulses=9 underflow=50\n"
+    "bin_left,bin_right,count\n0.0,1.0,4\n1.0,2.0,5\n",
 ], ids=["bad_meta_value", "bad_count", "fractional_count", "beyond_int64", "two_fields",
-        "no_bins", "negative_count"])
+        "no_bins", "negative_count", "negative_underflow", "tallies_exceed_total"])
 def test_histogram_csv_malformed_is_format_error(tmp_path, text):
     p = tmp_path / "bad.csv"
     p.write_text(text)
