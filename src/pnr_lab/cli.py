@@ -132,6 +132,9 @@ def _build_sim_config(doc: dict, seed_override) -> SimConfig:
     model = _model_from_json(_require(doc, "model", "config"), "config.model")
     n_pulses = _require(doc, "n_pulses", "config")
     seed = seed_override if seed_override is not None else _require(doc, "seed", "config")
+    for name, value in (("n_pulses", n_pulses), ("seed", seed)):
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"config: {name} must be a whole number, got {value!r}")
     try:
         return SimConfig(model=model, n_pulses=int(n_pulses), seed=int(seed),
                          bin_width=doc.get("bin_width", "auto"))

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Constraint, Histogram, MixtureModel, _std_normal_cdf, linear_fit,
-                   poisson_weights)
+from .core import (Constraint, Histogram, MixtureModel, _log_factorials, _normalized_exp,
+                   _poisson_log_pmf, _std_normal_cdf_pdf, linear_fit)
 
 __all__ = [
     "FitConfig",
@@ -44,7 +44,6 @@ __all__ = [
     "report_from_json",
 ]
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 _LOG_CLIP = 30.0         # log parameters are clipped to +/- this before exp
 _PROMINENCE = 0.02       # a maximum counts only above this fraction of the peak bin
 _SMOOTH_BINS = 5
@@ -101,13 +100,13 @@ def init_guess(hist: Histogram, n_peaks="auto") -> MixtureModel:
     counts = hist.counts.astype(float)
     if len(counts) < 3:
         raise FitSetupError("histogram has too few bins for an automatic guess")
-    smoothed = np.convolve(counts, np.ones(_SMOOTH_BINS) / _SMOOTH_BINS, mode="same")
-    gmax = smoothed.max()
+    smoothed = np.convolve(counts, np.ones(_SMOOTH_BINS) / _SMOOTH_BINS, mode="same").tolist()
+    gmax = max(smoothed)
     if gmax <= 0:
         raise FitSetupError("histogram is empty; provide an explicit initial model")
     # Scan runs of equal smoothed counts as single candidates: a symmetric
     # peak can tie two adjacent bins after averaging, and a bin-by-bin
-    # strict comparison would drop it entirely.
+    # strict comparison would drop it entirely.  (A list: numpy scalars are slow.)
     prominent = []
     n = len(smoothed)
     a = 0
@@ -155,14 +154,11 @@ def init_guess(hist: Histogram, n_peaks="auto") -> MixtureModel:
 # model evaluation
 # ---------------------------------------------------------------------------
 
-def _cdf_cols(edges: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """(n_bins, K) matrix of per-peak bin masses via CDF differences."""
-    cdf = _std_normal_cdf((edges[:, None] - means[None, :]) / sigmas[None, :])
-    return cdf[1:, :] - cdf[:-1, :]
-
-
-def _phi(z: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * z * z) / _SQRT2PI
+def _cdf_cols(edges: np.ndarray, means: np.ndarray, sigmas: np.ndarray):
+    """(n_bins, K) per-peak bin masses, plus the edge z-scores and densities."""
+    z = (edges[:, None] - means[None, :]) / sigmas[None, :]
+    cdf, phi = _std_normal_cdf_pdf(z)
+    return cdf[1:, :] - cdf[:-1, :], z, phi
 
 
 def expected_counts(model: MixtureModel, edges: np.ndarray, total: float):
@@ -170,7 +166,7 @@ def expected_counts(model: MixtureModel, edges: np.ndarray, total: float):
 
     Returns (per_peak, total_curve): per_peak has shape (K, n_bins).
     """
-    p = _cdf_cols(np.asarray(edges, dtype=float), model.means(), model.std_devs())
+    p, _, _ = _cdf_cols(np.asarray(edges, dtype=float), model.means(), model.std_devs())
     per_peak = (total * model.weights()[None, :] * p).T
     return per_peak, per_peak.sum(axis=0)
 
@@ -188,9 +184,11 @@ class _Problem:
         self.constraint = constraint
         self.k = k
         self.idx = np.arange(k, dtype=float)
+        self.neg_idx_sq = -self.idx**2
         self.variance_law = constraint is Constraint.LINEAR_VARIANCE
         self.poisson = constraint is Constraint.POISSON_WEIGHTS
         self.n_width = 3 if self.variance_law else k
+        self.log_factorials = _log_factorials(k)
         # d sigma_i^2 / d(v_elec, v_0, v_M) for sigma_i^2 = v_elec + v_0*[i>0] + i*v_M
         self.var_parts = np.stack([np.ones(k), (self.idx > 0).astype(float), self.idx],
                                   axis=1)
@@ -245,8 +243,9 @@ class _Problem:
             sig = _bounded_exp(width)
         if self.poisson:
             mu = float(_bounded_exp(tail[0]))
-            return x0, spacing, sat, sig, poisson_weights(mu, self.k), mu
-        return x0, spacing, sat, sig, _softmax(tail), None
+            w = _normalized_exp(_poisson_log_pmf(mu, self.log_factorials))
+            return x0, spacing, sat, sig, w, mu
+        return x0, spacing, sat, sig, _normalized_exp(np.concatenate([[0.0], tail])), None
 
     def to_model(self, p: np.ndarray) -> MixtureModel:
         x0, spacing, sat, sig, w, mu = self.unpack(p)
@@ -257,28 +256,27 @@ class _Problem:
     # -- objective and Jacobian ------------------------------------------
 
     def counts_model(self, p: np.ndarray):
-        x0, spacing, sat, sig, w, mu = self.unpack(p)
-        means = x0 + spacing * self.idx - sat * self.idx**2
-        pmat = _cdf_cols(self.edges, means, sig)
-        m = self.n_total * (pmat @ w)
-        return m, pmat, means, sig, w, mu
+        """-> (model counts, peak means, the arrays `jacobian` takes after p)"""
+        x0, spacing, sat, sig, w, _ = self.unpack(p)
+        means = x0 + spacing * self.idx + sat * self.neg_idx_sq
+        pmat, z, phi = _cdf_cols(self.edges, means, sig)
+        return self.n_total * (pmat @ w), means, (pmat, z, phi, sig, w)
 
-    def objective(self, p: np.ndarray) -> float:
-        m, *_ = self.counts_model(p)
+    def evaluate(self, p: np.ndarray):
+        """-> (count residuals, objective, peak means, the arrays `jacobian` takes)"""
+        m, means, parts = self.counts_model(p)
         r = self.counts - m
-        return float(np.sum(self.wls * r * r))
+        return r, float(np.sum(self.wls * r * r)), means, parts
 
-    def jacobian(self, p: np.ndarray, pmat, means, sig, w, mu) -> np.ndarray:
+    def jacobian(self, p: np.ndarray, pmat, z, phi, sig, w) -> np.ndarray:
         n_width = self.n_width
         cols = np.empty((len(self.counts), self.n_params()))
-        z = (self.edges[:, None] - means[None, :]) / sig[None, :]
-        phi = _phi(z)
         # d(bin mass)/d(mean) for each peak
         dpdx = (phi[:-1, :] - phi[1:, :]) / sig[None, :]
         wdpdx = self.n_total * w[None, :] * dpdx
         cols[:, 0] = wdpdx.sum(axis=1)                       # x0
         cols[:, 1] = wdpdx @ self.idx                        # spacing
-        cols[:, 2] = wdpdx @ (-self.idx**2)                  # sat
+        cols[:, 2] = wdpdx @ self.neg_idx_sq                 # sat
 
         # d(bin mass)/d(log sigma) for each peak
         zphi = z * phi
@@ -299,17 +297,10 @@ class _Problem:
         return cols
 
 
-def _softmax(tail_logits: np.ndarray) -> np.ndarray:
-    full = np.concatenate([[0.0], tail_logits])
-    full = full - full.max()
-    e = np.exp(full)
-    return e / e.sum()
-
-
 def _bounded_exp(logp: np.ndarray) -> np.ndarray:
     # Keeps scale parameters finite when a trial step or an unidentifiable
     # (near-zero-weight) peak sends a log parameter running.
-    return np.exp(np.clip(logp, -_LOG_CLIP, _LOG_CLIP))
+    return np.exp(np.minimum(np.maximum(logp, -_LOG_CLIP), _LOG_CLIP))
 
 
 def _window_excess(means: np.ndarray, edges: np.ndarray) -> float:
@@ -317,33 +308,34 @@ def _window_excess(means: np.ndarray, edges: np.ndarray) -> float:
 
     Zero while every mean lies within one histogram span of the data.
     """
-    lo, hi = edges[0], edges[-1]
+    lo, hi, m = edges[0], edges[-1], means.tolist()
     span = hi - lo
-    return max(0.0, (lo - span) - means.min()) + max(0.0, means.max() - (hi + span))
+    return max(0.0, (lo - span) - min(m)) + max(0.0, max(m) - (hi + span))
 
 
 _WIDTH_SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625, 2.0)
 
 
-def _best_width_scale(prob: _Problem, p: np.ndarray) -> np.ndarray:
+def _best_width_scale(prob: _Problem, p: np.ndarray):
     """Coarse scan over a global peak-width multiplier before iterating.
 
     The automatic init sets every width to a quarter of the peak spacing;
     when the true peaks are much narrower than that, the damped iteration
     starts in a basin where fattening one component beats narrowing all of
     them.  A few objective evaluations at scaled widths put the start on the
-    right side of that ridge.  Ties keep the unscaled start.
+    right side of that ridge.  Ties keep the unscaled start.  Returns the
+    start and its `evaluate`.
     """
     sl = slice(3, 3 + prob.n_width)
     mult = 2.0 if prob.variance_law else 1.0  # variance parameters: scale by s**2
-    best_p, best_obj = p, math.inf
+    best_p, best = p, None
     for s in _WIDTH_SCALES:
         q = p.copy()
         q[sl] = q[sl] + mult * math.log(s)
-        o = prob.objective(q)
-        if math.isfinite(o) and o < best_obj:
-            best_p, best_obj = q, o
-    return best_p
+        ev = prob.evaluate(q)
+        if math.isfinite(ev[1]) and (best is None or ev[1] < best[1]):
+            best_p, best = q, ev
+    return best_p, best or prob.evaluate(p)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +371,9 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
     warnings = []
     p = prob.pack(init)
     if cfg.init is None:
-        p = _best_width_scale(prob, p)
-    m, pmat, means, sig, w, mu = prob.counts_model(p)
-    r = prob.counts - m
-    obj = float(np.sum(prob.wls * r * r))
+        p, (r, obj, means, parts) = _best_width_scale(prob, p)
+    else:
+        r, obj, means, parts = prob.evaluate(p)
     trace = [obj]
 
     lam = 1e-3
@@ -392,7 +383,7 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
         if obj == 0.0:
             converged = True
             break
-        jac = prob.jacobian(p, pmat, means, sig, w, mu)
+        jac = prob.jacobian(p, *parts)
         if iterations == 1:
             sv = np.linalg.svd(jac * np.sqrt(prob.wls)[:, None], compute_uv=False)
             if sv[-1] < 1e-10 * sv[0]:
@@ -403,40 +394,39 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
         jw = jac * prob.wls[:, None]
         hess = jac.T @ jw
         grad = jw.T @ r
-        diag = np.diag(hess).copy()
+        diag = hess.diagonal().copy()
         diag[diag <= 0] = max(1e-12 * diag.max(), 1e-300)
+        excess = _window_excess(means, prob.edges)
 
-        accepted = False
         while lam <= 1e12:
+            damped = hess.copy()
+            damped.flat[::n_params + 1] += lam * diag
             try:
-                step = np.linalg.solve(hess + lam * np.diag(diag), grad)
+                step = np.linalg.solve(damped, grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             p_try = p + step
             try:
-                m2, pmat2, means2, sig2, w2, mu2 = prob.counts_model(p_try)
+                r2, obj2, means2, parts2 = prob.evaluate(p_try)
             except (FloatingPointError, ValueError, OverflowError):
                 lam *= 10.0
                 continue
-            if _window_excess(means2, prob.edges) > _window_excess(means, prob.edges):
+            if _window_excess(means2, prob.edges) > excess:
                 # A peak centre drifting further than a full histogram width
                 # beyond the data is runaway along a near-flat direction, not
                 # progress: the data can never pull it back.  Steps that move
                 # back toward the window stay allowed.
                 lam *= 10.0
                 continue
-            r2 = prob.counts - m2
-            obj2 = float(np.sum(prob.wls * r2 * r2))
             if not math.isfinite(obj2) or obj2 >= obj:
                 lam *= 10.0
                 continue
-            accepted = True
             break
-        if not accepted:
-            break
+        else:
+            break                   # no damping gives an acceptable step
         rel_drop = (obj - obj2) / max(obj, 1e-300)
-        p, m, pmat, means, sig, w, mu, r, obj = p_try, m2, pmat2, means2, sig2, w2, mu2, r2, obj2
+        p, means, parts, r, obj = p_try, means2, parts2, r2, obj2
         trace.append(obj)
         lam = max(lam / 10.0, 1e-12)
         if rel_drop < cfg.tolerance:
@@ -484,23 +474,18 @@ def report_from_json(doc: dict) -> FitReport:
     """
     try:
         peaks = doc["peaks"]
-        means = [pk["mean"] for pk in peaks]
-        stds = [pk["std"] for pk in peaks]
-        weights = [pk["weight"] for pk in peaks]
-        constraint = Constraint.parse(doc["constraint"])
-    except (KeyError, TypeError) as exc:
+        if not peaks:
+            raise ValueError("empty peaks list")
+        model = MixtureModel.from_peaks(
+            [pk["mean"] for pk in peaks], [pk["std"] for pk in peaks],
+            [pk["weight"] for pk in peaks], Constraint.parse(doc["constraint"]),
+            poisson_mu=doc.get("mu"))
+        return FitReport(
+            model=model,
+            objective=float(doc.get("objective", math.nan)),
+            iterations=int(doc.get("iterations", 0)),
+            converged=bool(doc.get("converged", False)),
+            warnings=tuple(doc.get("warnings", ())),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise FitSetupError(f"malformed fit report: {exc}") from exc
-    if not means:
-        raise FitSetupError("malformed fit report: empty peaks list")
-    try:
-        model = MixtureModel.from_peaks(means, stds, weights, constraint,
-                                        poisson_mu=doc.get("mu"))
-    except (ValueError, TypeError) as exc:
-        raise FitSetupError(f"malformed fit report: {exc}") from exc
-    return FitReport(
-        model=model,
-        objective=float(doc.get("objective", math.nan)),
-        iterations=int(doc.get("iterations", 0)),
-        converged=bool(doc.get("converged", False)),
-        warnings=tuple(doc.get("warnings", ())),
-    )

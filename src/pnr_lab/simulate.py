@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DetectorModel, Histogram, _poisson_log_pmf, substream
+from .core import DetectorModel, Histogram, _log_factorials, _poisson_log_pmf, substream
 
 __all__ = [
     "CHUNK_PULSES",
@@ -117,7 +117,7 @@ def _poisson_inverse(rng: np.random.Generator, mu: float, n: int) -> np.ndarray:
     if mu == 0.0:
         return np.zeros(n, dtype=np.int64)
     top = int(mu + 12.0 * math.sqrt(mu) + 20.0)
-    cdf = np.cumsum(np.exp(_poisson_log_pmf(mu, top + 1)))
+    cdf = np.cumsum(np.exp(_poisson_log_pmf(mu, _log_factorials(top + 1))))
     return np.searchsorted(cdf, u, side="left").astype(np.int64)
 
 

@@ -97,6 +97,24 @@ def test_simulate_missing_field_exit_2(tmp_path, capsys):
     assert "n_pulses" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("n_pulses", 2000.9), ("seed", 16.6)])
+def test_simulate_fractional_integer_field_exit_2(tmp_path, capsys, field, value):
+    doc = {"model": SIM_MODEL, "n_pulses": 2000, "seed": 16, field: value}
+    cfg = write_config(tmp_path / "frac.json", doc)
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
+    assert f"{field} must be a whole number" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "pulses.csv").exists()
+
+
+def test_simulate_accepts_integral_floats(tmp_path):
+    cfg = write_config(tmp_path / "sim.json",
+                       {"model": SIM_MODEL, "n_pulses": 2e3, "seed": 16.0})
+    code, out = run_sim(tmp_path, cfg)
+    assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 16
+    assert len((out / "pulses.csv").read_text().splitlines()) == 2 + 2000
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"model": \n  oops}')
@@ -184,6 +202,17 @@ def test_analyze_too_few_peaks_exit_2(tmp_path, capsys):
     assert main(["analyze", path, "--out-dir", str(tmp_path / "o"),
                  "--quiet"]) == 2
     assert "3 peaks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("objective", None), ("warnings", 5)])
+def test_analyze_mistyped_report_exit_2(tmp_path, capsys, field, value):
+    doc = {"constraint": "free",
+           "peaks": [{"i": i, "mean": 100.0 * i, "std": 5.0, "weight": 1 / 3}
+                     for i in range(3)],
+           "objective": 1.0, "converged": True, "iterations": 3, field: value}
+    path = write_config(tmp_path / "report.json", doc)
+    assert main(["analyze", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "malformed fit report" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- qe

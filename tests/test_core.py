@@ -1,20 +1,26 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pnr_lab
 from pnr_lab import (Constraint, DecisionScheme, DegenerateDesignError,
                      DetectorModel, GaussianPeak, Histogram, MixtureModel,
                      NoiseReport, gaussian_cdf, gaussian_pdf, linear_fit,
                      poisson_weights, substream)
+from pnr_lab.core import _std_normal_cdf_pdf
 
 
 # ---------------------------------------------------------------- dependencies
 
-def test_scipy_is_imported_only_by_core():
+def test_no_module_imports_scipy():
     importers = set()
     for path in Path(pnr_lab.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -26,7 +32,17 @@ def test_scipy_is_imported_only_by_core():
                 continue
             if any(m == "scipy" or m.startswith("scipy.") for m in modules):
                 importers.add(path.name)
-    assert importers == {"core.py"}
+    assert importers == set()
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(pnr_lab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, pnr_lab; print('scipy' in sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- substream
@@ -85,6 +101,59 @@ def test_gaussian_cdf_rejects_bad_input():
         gaussian_cdf(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         gaussian_cdf(0.0, np.inf, 1.0)
+
+
+def _cdf_oracle(z):
+    return np.array([0.5 * math.erfc(-q / math.sqrt(2.0)) for q in np.ravel(z)])
+
+
+def test_normal_kernel_matches_erfc_oracle():
+    rng = np.random.default_rng(2024)
+    z = np.concatenate([rng.uniform(-40.0, 40.0, 20_000), rng.standard_normal(20_000)])
+    cdf, _ = _std_normal_cdf_pdf(z)
+    ref = _cdf_oracle(z)
+    err = np.abs(cdf - ref)
+    assert err.max() <= 1e-15
+    resolved = ref >= 1e-250
+    assert (err[resolved] / ref[resolved]).max() <= 1e-12
+
+
+@given(st.floats(-45.0, 45.0))
+def test_normal_kernel_property(z):
+    cdf, pdf = _std_normal_cdf_pdf(z)
+    ref = 0.5 * math.erfc(-z / math.sqrt(2.0))
+    assert abs(cdf - ref) <= 1e-15
+    assert abs(cdf - ref) <= 1e-12 * ref or ref < 1e-250
+    assert 0.0 <= cdf <= 1.0 and 0.0 <= pdf < 0.4
+
+
+def test_normal_kernel_limits_and_nan():
+    # the suite turns warnings into errors, so NaN passes through silently
+    cdf, pdf = _std_normal_cdf_pdf(np.array([-np.inf, np.inf, np.nan, -0.0, 0.0]))
+    assert cdf[0] == 0.0 and cdf[1] == 1.0 and np.isnan(cdf[2])
+    assert cdf[3] == cdf[4] == 0.5
+    assert pdf[0] == pdf[1] == 0.0 and np.isnan(pdf[2])
+    assert _std_normal_cdf_pdf(-40.0)[0] == 0.0 and _std_normal_cdf_pdf(40.0)[0] == 1.0
+
+
+def test_normal_kernel_shapes():
+    cdf, pdf = _std_normal_cdf_pdf(0.3)
+    assert cdf.shape == pdf.shape == ()
+    assert cdf == pytest.approx(0.6179114221889527, abs=1e-15)
+    grid = np.random.default_rng(5).normal(scale=10.0, size=(3, 4, 5))
+    cdf, pdf = _std_normal_cdf_pdf(grid)
+    assert cdf.shape == pdf.shape == (3, 4, 5)
+    flat_cdf, flat_pdf = _std_normal_cdf_pdf(grid.ravel())
+    assert np.array_equal(cdf.ravel(), flat_cdf) and np.array_equal(pdf.ravel(), flat_pdf)
+
+
+def test_normal_kernel_density_is_exact():
+    z = np.linspace(-40.0, 40.0, 80_001)
+    _, pdf = _std_normal_cdf_pdf(z)
+    ref = np.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
+    normal = ref >= sys.float_info.min
+    assert np.array_equal(pdf[normal], ref[normal])
+    assert np.all(pdf[~normal] == 0.0)
 
 
 def test_gaussian_pdf_matches_closed_form():

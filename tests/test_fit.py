@@ -90,8 +90,8 @@ def test_jacobian_matches_finite_differences(kind, log_v0):
     p0 = prob.pack(init_guess(h, 3))
     if log_v0 is not None:
         p0[4] = log_v0
-    m, pmat, means, sig, w, mu = prob.counts_model(p0)
-    jac = prob.jacobian(p0, pmat, means, sig, w, mu)
+    _, _, parts = prob.counts_model(p0)
+    jac = prob.jacobian(p0, *parts)
     step = 1e-6
     for j in range(prob.n_params()):
         up = p0.copy(); up[j] += step
@@ -256,6 +256,16 @@ def test_report_from_json_rejects_garbage():
         report_from_json({"constraint": "free", "x0": 0, "delta": 1, "sat": 0,
                           "peaks": [], "objective": 0, "converged": True,
                           "iterations": 1})
+
+
+@pytest.mark.parametrize("field, value", [("objective", None), ("warnings", 5)])
+def test_report_from_json_rejects_mistyped_fields(field, value):
+    doc = {"constraint": "free",
+           "peaks": [{"i": i, "mean": 100.0 * i, "std": 5.0, "weight": 1 / 3}
+                     for i in range(3)],
+           "objective": 1.0, "converged": True, "iterations": 3, field: value}
+    with pytest.raises(FitSetupError, match="malformed fit report"):
+        report_from_json(doc)
 
 
 def test_expected_counts_totals(law_model):
