@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .core import (Constraint, DecisionScheme, DegenerateDesignError,
                    DetectorModel, GaussianPeak, Histogram, MixtureModel,
-                   NoiseReport, gaussian_cdf, gaussian_pdf, linear_fit,
-                   poisson_weights, substream)
+                   NoiseReport, gaussian_cdf, gaussian_pdf, poisson_weights,
+                   substream)
 from .discriminate import (ConfusionMatrix, InvalidModelError,
                            NoIntersectionError, build_scheme, classify,
                            confusion, one_vs_many_error, threshold)
@@ -31,7 +31,7 @@ __all__ = [
     # core
     "Constraint", "DecisionScheme", "DegenerateDesignError", "DetectorModel",
     "GaussianPeak", "Histogram", "MixtureModel", "NoiseReport",
-    "gaussian_cdf", "gaussian_pdf", "linear_fit", "poisson_weights", "substream",
+    "gaussian_cdf", "gaussian_pdf", "poisson_weights", "substream",
     # simulate
     "CapacityError", "FormatError", "PulseRecord", "SimConfig",
     "histogram_from_areas", "read_histogram_csv", "read_pulses_csv", "run",

@@ -14,13 +14,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import Constraint, DetectorModel, MixtureModel
+from .core import Constraint, DetectorModel, MixtureModel, _variance_parts
 from .discriminate import build_scheme, confusion, confusion_to_json, scheme_to_json
 from .fit import (FitConfig, expected_counts, fit_spectrum, report_from_json,
                   report_to_json)
@@ -79,9 +79,17 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
+def _refuse_bools(doc: dict, context: str, *keys) -> None:
+    """JSON true/false is not a number, though Python's bool passes for an int."""
+    for key in keys:
+        if isinstance(doc.get(key), bool):
+            raise ConfigError(f"{context}: {key} must be a number, got {json.dumps(doc[key])}")
+
+
 def _model_from_json(doc: dict, context: str = "model") -> DetectorModel:
     if not isinstance(doc, dict):
         raise ConfigError(f"{context}: expected an object")
+    _refuse_bools(doc, context, *(f.name for f in fields(DetectorModel)))
     kwargs = {}
     for key in ("mean_photon_number", "quantum_efficiency", "gain_per_photon",
                 "mult_noise_var", "electronic_noise_var"):
@@ -102,6 +110,7 @@ def _model_from_json(doc: dict, context: str = "model") -> DetectorModel:
 def _init_model_from_json(doc: dict, constraint: Constraint) -> MixtureModel:
     x0 = _require(doc, "x0", "init")
     delta = _require(doc, "delta", "init")
+    _refuse_bools(doc, "init", "x0", "delta", "sat", "mu")
     sat = doc.get("sat", 0.0)
     stds = _require(doc, "stds", "init")
     weights = _require(doc, "weights", "init")
@@ -130,6 +139,7 @@ def _say(args, message: str) -> None:
 
 def _build_sim_config(doc: dict, seed_override) -> SimConfig:
     model = _model_from_json(_require(doc, "model", "config"), "config.model")
+    _refuse_bools(doc, "config", "n_pulses", "seed", "bin_width")
     n_pulses = _require(doc, "n_pulses", "config")
     seed = seed_override if seed_override is not None else _require(doc, "seed", "config")
     for name, value in (("n_pulses", n_pulses), ("seed", seed)):
@@ -164,6 +174,7 @@ def cmd_simulate(args) -> int:
 
 
 def _build_fit_config(doc: dict) -> FitConfig:
+    _refuse_bools(doc, "fit config", "n_peaks", "max_iterations", "tolerance")
     constraint = Constraint.parse(str(doc.get("constraint", "free")))
     init = None
     if doc.get("init") is not None:
@@ -234,9 +245,9 @@ def _write_analysis(report, out: Path, args) -> list:
     variance_path = out / "variance_vs_n.csv"
     std = model.std_devs()
     var = std ** 2
-    elec = var[0]
-    # summed left to right: grouping sigma_0_sq + n*sigma_m_sq first moves the last bit
-    law = np.where(n > 0, elec + noise_report.sigma_0_sq + noise_report.sigma_m_sq * n, elec)
+    # the regression's v_elec is var[0]: row 0 alone sets it
+    components = (var[0], noise_report.sigma_0_sq, noise_report.sigma_m_sq)
+    law = (_variance_parts(k) * components).sum(axis=1)
     write_table(variance_path, "n,std_dev,variance,law_variance", "{},{:.10g},{:.10g},{:.10g}",
                 n, std, var, law)
 

@@ -29,7 +29,6 @@ __all__ = [
     "DegenerateDesignError",
     "gaussian_pdf",
     "gaussian_cdf",
-    "linear_fit",
     "substream",
 ]
 
@@ -164,44 +163,32 @@ def _normalized_exp(logw: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def linear_fit(points, weights=None):
-    """Weighted least-squares straight line through (x, y) points.
+def _variance_parts(k: int) -> np.ndarray:
+    """(k, 3) design matrix d sigma_i^2 / d(v_elec, v_0, v_M) of the variance law
+    sigma_i^2 = v_elec + v_0*[i>0] + i*v_M at i = 0..k-1: the one spelling of
+    that law, shared by the fit's LINEAR_VARIANCE regime and the noise report."""
+    i = np.arange(k, dtype=float)
+    return np.stack([np.ones(k), (i > 0).astype(float), i], axis=1)
 
-    Parameters
-    ----------
-    points : sequence of (x, y) pairs or (N, 2) array
-    weights : optional per-point weights (>= 0), defaults to uniform
 
-    Returns
-    -------
-    (slope, intercept, residual) where residual is the weighted sum of
-    squared deviations from the fitted line.  Collinear input gives
-    residual 0 up to rounding.
-
-    Raises
-    ------
-    DegenerateDesignError if fewer than two distinct x values are given.
+def _variance_components(std_devs, weights):
+    """(v_elec, v_0, v_M) of the variance law from the widths of peaks 0..K-1 by
+    one weighted lstsq.  Row i weighs weights_i / (2 sigma_i^4), the information
+    in sigma_i^2 (Var(sigma^2) ~ 2 sigma^4 / n for n = N*weights_i pulses; N
+    cancels).  Row 0 alone sets v_elec = sigma_0^2, so (v_0, v_M) is the weighted
+    line through sigma_i^2 - sigma_0^2 over i >= 1.  Returns (components,
+    residual), residual = sum weights_i r_i^2 / (2 sigma_i^4): N * residual is the
+    regression's chi^2.  DegenerateDesignError if the weighted rank is below 3.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be a sequence of (x, y) pairs")
-    x, y = pts[:, 0], pts[:, 1]
-    if len(x) < 2 or np.unique(x).size < 2:
-        raise DegenerateDesignError("need at least 2 distinct x values for a line fit")
-    if weights is None:
-        w = np.ones_like(x)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != x.shape:
-            raise ValueError("weights must match the number of points")
-        if (w < 0).any():
-            raise ValueError("weights must be >= 0")
-    sw = np.sqrt(w)
-    design = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
-    resid = y - (slope * x + intercept)
-    return slope, intercept, float(np.sum(w * resid * resid))
+    var = np.square(np.asarray(std_devs, dtype=float))
+    scale = np.sqrt(np.asarray(weights, dtype=float) / 2.0) / var
+    parts = _variance_parts(len(var))
+    coef, _, rank, _ = np.linalg.lstsq(parts * scale[:, None], var * scale, rcond=None)
+    if rank < 3:
+        raise DegenerateDesignError(
+            f"variance law needs three peaks that carry weight; weighted design has rank {rank}")
+    resid = (var - parts @ coef) * scale
+    return coef, float(resid @ resid)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Constraint, Histogram, MixtureModel, _log_factorials, _normalized_exp,
-                   _poisson_log_pmf, _std_normal_cdf_pdf, linear_fit)
+                   _poisson_log_pmf, _std_normal_cdf_pdf, _variance_components,
+                   _variance_parts)
 
 __all__ = [
     "FitConfig",
@@ -189,9 +190,7 @@ class _Problem:
         self.poisson = constraint is Constraint.POISSON_WEIGHTS
         self.n_width = 3 if self.variance_law else k
         self.log_factorials = _log_factorials(k)
-        # d sigma_i^2 / d(v_elec, v_0, v_M) for sigma_i^2 = v_elec + v_0*[i>0] + i*v_M
-        self.var_parts = np.stack([np.ones(k), (self.idx > 0).astype(float), self.idx],
-                                  axis=1)
+        self.var_parts = _variance_parts(k)
 
     # -- layout ---------------------------------------------------------
 
@@ -212,25 +211,20 @@ class _Problem:
                 mu = max(float(np.sum(model.weights() * self.idx)), 0.1)
             return np.array(head + list(np.log(sig)) + [math.log(mu)])
         # LINEAR_VARIANCE: split the sigma ladder into its three components
-        v_elec = sig[0] ** 2
-        var_rest = sig[1:] ** 2 - v_elec
         mean_var = float(np.mean(sig**2))
         floor = max(1e-3 * mean_var, 1e-9)
-        if k >= 3 and np.unique(self.idx[1:]).size >= 2:
-            slope, intercept, _ = linear_fit(np.stack([self.idx[1:], var_rest], axis=1))
+        if k >= 3:
+            v_elec, v_0, v_m = _variance_components(sig, w)[0]
         else:
-            slope, intercept = floor, floor
-        if slope < floor and intercept < floor:
+            v_elec, v_0, v_m = sig[0] ** 2, floor, floor
+        if v_m < floor and v_0 < floor:
             # Flat sigma ladder (typical of a fresh init): a floor-sized slope
             # leaves the optimizer stranded with everything in the electronic
             # term, so spread the variance evenly across the components.
-            mean_i = float(np.mean(self.idx[1:])) if k > 1 else 1.0
-            v_elec = mean_var / 3.0
-            v_0 = mean_var / 3.0
-            v_m = mean_var / (3.0 * max(mean_i, 1.0))
+            v_elec = v_0 = mean_var / 3.0
+            v_m = mean_var / (1.5 * k)       # v_m times the mean i, k/2, is mean_var/3
         else:
-            v_m = max(slope, floor)
-            v_0 = max(intercept, floor)
+            v_0, v_m = max(v_0, floor), max(v_m, floor)
         return np.array(head + [math.log(v_elec), math.log(v_0), math.log(v_m)] + logits)
 
     def unpack(self, p: np.ndarray):
@@ -476,6 +470,9 @@ def report_from_json(doc: dict) -> FitReport:
         peaks = doc["peaks"]
         if not peaks:
             raise ValueError("empty peaks list")
+        warnings = doc.get("warnings", [])
+        if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+            raise TypeError(f"warnings must be a list of strings, got {warnings!r}")
         model = MixtureModel.from_peaks(
             [pk["mean"] for pk in peaks], [pk["std"] for pk in peaks],
             [pk["weight"] for pk in peaks], Constraint.parse(doc["constraint"]),
@@ -485,7 +482,7 @@ def report_from_json(doc: dict) -> FitReport:
             objective=float(doc.get("objective", math.nan)),
             iterations=int(doc.get("iterations", 0)),
             converged=bool(doc.get("converged", False)),
-            warnings=tuple(doc.get("warnings", ())),
+            warnings=tuple(warnings),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FitSetupError(f"malformed fit report: {exc}") from exc

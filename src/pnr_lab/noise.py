@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianPeak, NoiseReport, linear_fit
+from .core import GaussianPeak, NoiseReport, _variance_components
 
 __all__ = [
     "PLANCK_H",
@@ -140,33 +140,32 @@ def n_max(enf: float) -> float:
 def variance_law(peaks) -> NoiseReport:
     """Split peak variances into noise components and derive F and n_max.
 
-    The zero-peak variance is purely electronic and is subtracted from every
-    peak before regressing variance on photon number over i >= 1: the slope
-    is the per-photon multiplication variance, the intercept the extra
-    firing variance.  F uses the mean adjacent peak spacing as the gain.
-    Regression noise can push the slope slightly negative; that yields
+    One regression of sigma_i^2 = v_elec + v_0*[i>0] + i*v_M over peaks 0..K-1,
+    each weighted by the information its width carries (see
+    `core._variance_components`), so a near-empty peak or a last peak swollen
+    by the truncated tail cannot steer the slope v_M, the per-photon
+    multiplication variance; v_0 is the extra firing variance.  F uses the mean
+    adjacent peak spacing as the gain.  A slightly negative slope yields
     enf <= 1 and an unbounded n_max rather than an error.
     """
-    pks = sorted(peaks, key=lambda p: p.index)
+    pks = list(peaks)
+    if not all(isinstance(p, GaussianPeak) for p in pks):
+        raise TypeError("peaks must be GaussianPeak instances")
+    pks.sort(key=lambda p: p.index)
     if len(pks) < 3:
         raise InsufficientDataError(f"need at least 3 peaks, got {len(pks)}")
-    if pks[0].index != 0:
-        raise InsufficientDataError("variance law needs the zero-photon peak (index 0)")
-    for p in pks:
-        if not isinstance(p, GaussianPeak):
-            raise TypeError("peaks must be GaussianPeak instances")
+    if [p.index for p in pks] != list(range(len(pks))):
+        raise InsufficientDataError(
+            "variance law needs peaks 0..K-1, the zero-photon peak included, without gaps")
 
-    elec = pks[0].std_dev ** 2
-    pts = [(float(p.index), p.std_dev**2 - elec) for p in pks if p.index >= 1]
-    slope, intercept, resid = linear_fit(pts)
-
-    means = [p.mean for p in pks]
-    spacing = float(np.mean(np.diff(means)))
+    (_, v_0, v_m), resid = _variance_components([p.std_dev for p in pks],
+                                                [p.weight for p in pks])
+    spacing = float(np.mean(np.diff([p.mean for p in pks])))
     if spacing <= 0:
         raise ValueError("peak means must be increasing to define a gain")
-    enf = 1.0 + slope / spacing**2
+    enf = 1.0 + float(v_m) / spacing**2
     bound = math.inf if enf <= 1.0 else 1.0 / (enf - 1.0)
-    return NoiseReport(sigma_m_sq=slope, sigma_0_sq=intercept, enf=enf,
+    return NoiseReport(sigma_m_sq=float(v_m), sigma_0_sq=float(v_0), enf=enf,
                        n_max=bound, regression_residual=resid)
 
 

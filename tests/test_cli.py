@@ -15,6 +15,7 @@ from pnr_lab import (FitConfig, Histogram, __version__, build_scheme, expected_c
                      write_histogram_csv)
 from pnr_lab.cli import main
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SIM_MODEL = {
     "mean_photon_number": 1.2 / 0.85,
     "quantum_efficiency": 0.85,
@@ -104,6 +105,28 @@ def test_simulate_fractional_integer_field_exit_2(tmp_path, capsys, field, value
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
     assert f"{field} must be a whole number" in capsys.readouterr().err
     assert not (tmp_path / "o" / "pulses.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["n_pulses", "seed", "quantum_efficiency", "cell_count"])
+def test_simulate_boolean_number_exit_2(tmp_path, capsys, field):
+    doc = {"model": dict(SIM_MODEL), "n_pulses": 2000, "seed": 16}
+    (doc if field in doc else doc["model"])[field] = True
+    cfg = write_config(tmp_path / "bool.json", doc)
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
+    assert f"{field} must be a number, got true" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "pulses.csv").exists()
+
+
+@pytest.mark.parametrize("field, extra", [
+    ("max_iterations", {"max_iterations": True}),
+    ("x0", {"init": {"x0": True, "delta": 135.0, "stds": [10.0] * 5, "weights": [0.2] * 5}}),
+])
+def test_fit_boolean_number_exit_2(tmp_path, sim_config, capsys, field, extra):
+    _, out = run_sim(tmp_path, sim_config)
+    fit_cfg = write_config(tmp_path / "fit.json", dict(FIT_DOC, **extra))
+    assert main(["fit", str(out / "histogram.csv"), fit_cfg,
+                 "--out-dir", str(tmp_path / "fit"), "--quiet"]) == 2
+    assert f"{field} must be a number, got true" in capsys.readouterr().err
 
 
 def test_simulate_accepts_integral_floats(tmp_path):
@@ -279,6 +302,24 @@ def test_pipeline_nonconvergence_skips_analysis(tmp_path):
     assert main(["pipeline", cfg, "--out-dir", str(out), "--quiet"]) == 4
     assert (out / "fit_report.json").exists()
     assert not (out / "analysis.json").exists()
+
+
+@pytest.mark.parametrize("config", ["shipped", "pipeline.json"])
+def test_pipeline_noise_report_recovers_generator(tmp_path, config):
+    """The published noise report on the shipped configs recovers the
+    generator: near-empty peaks and the last peak, which soaks up the
+    truncated tail, carry little information and must not set the slope."""
+    if config == "shipped":
+        doc = {"simulate": json.loads((CONFIGS / "simulate.json").read_text()),
+               "fit": json.loads((CONFIGS / "fit.json").read_text())}
+        path = write_config(tmp_path / "pipe.json", doc)
+    else:
+        path = str(CONFIGS / config)
+    out = tmp_path / "pipe"
+    assert main(["pipeline", path, "--out-dir", str(out), "--quiet"]) == 0
+    noise = json.loads((out / "analysis.json").read_text())["noise"]
+    assert noise["sigma_m_sq"] == pytest.approx(276.0, rel=0.10)
+    assert noise["sigma_0_sq"] > 0
 
 
 def _tables_by_row_loops(model, hist) -> dict:

@@ -11,10 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pnr_lab
-from pnr_lab import (Constraint, DecisionScheme, DegenerateDesignError,
-                     DetectorModel, GaussianPeak, Histogram, MixtureModel,
-                     NoiseReport, gaussian_cdf, gaussian_pdf, linear_fit,
-                     poisson_weights, substream)
+from pnr_lab import (Constraint, DecisionScheme, DetectorModel, GaussianPeak,
+                     Histogram, MixtureModel, NoiseReport, gaussian_cdf,
+                     gaussian_pdf, poisson_weights, substream)
 from pnr_lab.core import _std_normal_cdf_pdf
 
 
@@ -160,38 +159,6 @@ def test_gaussian_pdf_matches_closed_form():
     x, m, s = 1.3, 0.4, 2.1
     expect = math.exp(-0.5 * ((x - m) / s) ** 2) / (s * math.sqrt(2 * math.pi))
     assert gaussian_pdf(x, m, s) == pytest.approx(expect, rel=1e-14)
-
-
-# ---------------------------------------------------------------- linear_fit
-
-def test_linear_fit_exact_line():
-    pts = np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 5.0]])
-    slope, intercept, rss = linear_fit(pts)
-    assert slope == pytest.approx(2.0)
-    assert intercept == pytest.approx(1.0)
-    assert rss == pytest.approx(0.0, abs=1e-20)
-
-
-def test_linear_fit_weighted_pulls_toward_heavy_point():
-    pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    s_unw, _, _ = linear_fit(pts)
-    s_w, _, _ = linear_fit(pts, weights=np.array([1.0, 1.0, 100.0]))
-    assert s_unw == pytest.approx(0.0, abs=1e-12)
-    assert s_w < -0.15   # heavy last point drags the slope negative
-
-
-def test_linear_fit_residual_is_weighted_rss():
-    pts = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]])
-    slope, intercept, rss = linear_fit(pts)
-    pred = slope * pts[:, 0] + intercept
-    assert rss == pytest.approx(float(np.sum((pts[:, 1] - pred) ** 2)))
-
-
-def test_linear_fit_degenerate_design():
-    with pytest.raises(DegenerateDesignError):
-        linear_fit(np.array([[1.0, 2.0], [1.0, 3.0]]))
-    with pytest.raises(DegenerateDesignError):
-        linear_fit(np.array([[1.0, 2.0]]))
 
 
 # ---------------------------------------------------------------- detector model

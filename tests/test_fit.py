@@ -7,8 +7,8 @@ from pnr_lab import (Constraint, FitConfig, FitSetupError, Histogram,
                      report_to_json, run)
 from pnr_lab.fit import _Problem
 
-from conftest import (REF_SAT, REF_SPACING, REF_X0, CATALOG_MEANS,
-                      CATALOG_STDS, law_stds)
+from conftest import (REF_ELEC_VAR, REF_EXTRA_VAR, REF_MULT_VAR, REF_SAT, REF_SPACING,
+                      REF_X0, CATALOG_MEANS, CATALOG_STDS, law_stds)
 
 
 def synthetic_hist(model, n=200_000, width=11.0, seed=0, lo=None, hi=None):
@@ -160,6 +160,17 @@ def test_linear_variance_constraint_recovers_components(law_model):
     assert np.allclose(second_diff, 0.0, atol=1e-6 * v.max())
 
 
+@pytest.mark.parametrize("weights", [np.full(7, 1 / 7), [0.5, 0.5, 0, 0, 0, 0, 0]])
+def test_linear_variance_pack_returns_law_components(law_model, weights):
+    # an explicit init on the law packs to its own components, even with empty peaks
+    init = MixtureModel.from_ladder(REF_X0, REF_SPACING, REF_SAT, law_stds(7), weights,
+                                    constraint_kind=Constraint.LINEAR_VARIANCE)
+    prob = _Problem(synthetic_hist(law_model, n=50_000), Constraint.LINEAR_VARIANCE, 7)
+    assert np.exp(prob.pack(init)[3:6]) == pytest.approx(
+        [REF_ELEC_VAR, REF_EXTRA_VAR, REF_MULT_VAR], rel=1e-9)
+    assert prob.to_model(prob.pack(init)).std_devs() == pytest.approx(law_stds(7), rel=1e-12)
+
+
 def test_objective_never_increases(law_model):
     h = synthetic_hist(law_model, n=80_000, seed=13)
     rep = fit_spectrum(h, FitConfig(n_peaks=7))
@@ -258,7 +269,8 @@ def test_report_from_json_rejects_garbage():
                           "iterations": 1})
 
 
-@pytest.mark.parametrize("field, value", [("objective", None), ("warnings", 5)])
+@pytest.mark.parametrize("field, value", [("objective", None), ("warnings", 5),
+                                          ("warnings", "rank")])
 def test_report_from_json_rejects_mistyped_fields(field, value):
     doc = {"constraint": "free",
            "peaks": [{"i": i, "mean": 100.0 * i, "std": 5.0, "weight": 1 / 3}

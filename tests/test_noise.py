@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pnr_lab import (
+    DegenerateDesignError,
     EfficiencyInput,
     GaussianPeak,
     InsufficientDataError,
@@ -37,6 +40,22 @@ from conftest import (
 def peaks_from(means, stds):
     k = len(means)
     return MixtureModel.from_peaks(means, stds, np.full(k, 1.0 / k)).peaks
+
+
+def line_oracle(stds, weights):
+    """(v_0, v_M, residual) from the weighted normal equations of the line
+    through sigma_i^2 - sigma_0^2 over i >= 1, each point weighted by its
+    information weight_i / (2 sigma_i^4)."""
+    var = np.asarray(stds, dtype=float) ** 2
+    i = np.arange(1, len(var))
+    y = var[1:] - var[0]
+    w = np.asarray(weights, dtype=float)[1:] / (2.0 * var[1:] ** 2)
+    s, sx, sxx, sy, sxy = w.sum(), w @ i, w @ (i * i), w @ y, w @ (i * y)
+    det = s * sxx - sx * sx
+    slope = (s * sxy - sx * sy) / det
+    intercept = (sxx * sy - sx * sxy) / det
+    r = y - intercept - slope * i
+    return intercept, slope, float(w @ (r * r))
 
 
 # ---------------------------------------------------------------- photon flux
@@ -169,12 +188,43 @@ def test_variance_law_exact_inputs():
 
 def test_variance_law_catalog_regression():
     rep = variance_law(peaks_from(CATALOG_MEANS, CATALOG_STDS))
-    assert rep.sigma_m_sq == pytest.approx(269.3945714285714, rel=1e-9)
-    assert rep.sigma_0_sq == pytest.approx(302.77733333333276, rel=1e-9)
-    assert rep.regression_residual == pytest.approx(11722.693367619051, rel=1e-9)
+    v_0, v_m, resid = line_oracle(CATALOG_STDS, np.full(7, 1 / 7))
+    assert (rep.sigma_m_sq, rep.sigma_0_sq, rep.regression_residual) == pytest.approx(
+        (v_m, v_0, resid), rel=1e-9)
+    assert rep.sigma_m_sq == pytest.approx(286.8567198943976, rel=1e-9)
+    assert rep.sigma_0_sq == pytest.approx(243.60827350991235, rel=1e-9)
+    assert rep.regression_residual == pytest.approx(0.0007684979424992718, rel=1e-9)
     # gain here is the mean adjacent spacing (143.17), not the fitted ladder
-    assert rep.enf == pytest.approx(1.0131433179217633, rel=1e-9)
-    assert rep.n_max == pytest.approx(76.0842890625175, rel=1e-9)
+    assert rep.enf == pytest.approx(1.0139952674160173, rel=1e-9)
+    assert rep.n_max == pytest.approx(71.45272543027792, rel=1e-9)
+
+
+@given(st.integers(3, 12),
+       st.lists(st.floats(0.01, 1.0), min_size=12, max_size=12),
+       st.lists(st.floats(-0.05, 0.05), min_size=12, max_size=12))
+def test_variance_law_is_the_weighted_line_over_excited_peaks(k, raw_weights, jitter):
+    weights = np.array(raw_weights[:k]) / sum(raw_weights[:k])
+    stds = law_stds(k) * (1.0 + np.array(jitter[:k]))
+    rep = variance_law([GaussianPeak(i, 135.0 * i, stds[i], weights[i]) for i in range(k)])
+    scale = 1e-9 * float(np.max(stds)) ** 2
+    v_0, v_m, resid = line_oracle(stds, weights)
+    assert rep.sigma_m_sq == pytest.approx(v_m, rel=1e-9, abs=scale)
+    assert rep.sigma_0_sq == pytest.approx(v_0, rel=1e-9, abs=scale)
+    assert rep.regression_residual == pytest.approx(resid, rel=1e-9, abs=1e-18)
+
+    exact = variance_law([GaussianPeak(i, 135.0 * i, law_stds(k)[i], weights[i])
+                          for i in range(k)])
+    assert exact.sigma_m_sq == pytest.approx(REF_MULT_VAR, rel=1e-9)
+    assert exact.sigma_0_sq == pytest.approx(REF_EXTRA_VAR, rel=1e-9)
+    assert exact.regression_residual == pytest.approx(0.0, abs=1e-18)
+
+
+def test_variance_law_needs_three_weighted_peaks():
+    stds = law_stds(5)
+    for weights in ([0.5, 0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5, 0.0]):
+        pks = [GaussianPeak(i, 135.0 * i, stds[i], weights[i]) for i in range(5)]
+        with pytest.raises(DegenerateDesignError):
+            variance_law(pks)
 
 
 def test_variance_law_accepts_unsorted_peaks():
@@ -197,9 +247,12 @@ def test_variance_law_insufficient_peaks():
     with pytest.raises(InsufficientDataError):
         variance_law(peaks_from([0.0, 135.0], [10.0, 25.0]))
     # no zero-photon peak: electronic floor cannot be anchored
-    pks = peaks_from([135.0 * i for i in range(7)], law_stds(7))[1:]
+    pks = peaks_from([135.0 * i for i in range(7)], law_stds(7))
     with pytest.raises(InsufficientDataError):
-        variance_law(pks)
+        variance_law(pks[1:])
+    # a gap in the photon numbers: the law's rows are 0..K-1
+    with pytest.raises(InsufficientDataError):
+        variance_law(pks[:3] + pks[4:])
 
 
 def test_variance_law_type_check():
