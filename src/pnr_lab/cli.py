@@ -14,7 +14,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from contextlib import contextmanager
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,53 +74,57 @@ def _load_json(path) -> dict:
         ) from exc
 
 
-def _require(doc: dict, key: str, context: str):
-    if key not in doc:
-        raise ConfigError(f"{context}: missing required field '{key}'")
-    return doc[key]
-
-
-def _refuse_bools(doc: dict, context: str, *keys) -> None:
-    """JSON true/false is not a number, though Python's bool passes for an int."""
-    for key in keys:
-        if isinstance(doc.get(key), bool):
-            raise ConfigError(f"{context}: {key} must be a number, got {json.dumps(doc[key])}")
-
-
-def _model_from_json(doc: dict, context: str = "model") -> DetectorModel:
+def _read(doc, context: str, keys, required=()) -> dict:
+    """The values of `keys` present in `doc`, which must be a JSON object that
+    holds every `required` key.  JSON true/false is refused under every key
+    read: Python would take it for the number 1/0.  Other keys are ignored."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{context}: expected an object")
-    _refuse_bools(doc, context, *(f.name for f in fields(DetectorModel)))
-    kwargs = {}
-    for key in ("mean_photon_number", "quantum_efficiency", "gain_per_photon",
-                "mult_noise_var", "electronic_noise_var"):
-        kwargs[key] = _require(doc, key, context)
-    for key in ("extra_per_photon_var", "area_offset", "saturation_coeff",
-                "dark_rate_per_gate"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    cells = doc.get("cell_count")
-    if cells is not None:
-        kwargs["cell_count"] = cells
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{context}: missing required field '{key}'")
+    values = {key: doc[key] for key in keys if key in doc}
+    for key, value in values.items():
+        if isinstance(value, bool):
+            raise ConfigError(f"{context}: {key} must be a number, got {json.dumps(value)}")
+    return values
+
+
+@contextmanager
+def _refusals(context: str):
+    """A type's own refusal of a config value, as a ConfigError naming `context`."""
     try:
-        return DetectorModel(**kwargs)
+        yield
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _init_model_from_json(doc: dict, constraint: Constraint) -> MixtureModel:
-    x0 = _require(doc, "x0", "init")
-    delta = _require(doc, "delta", "init")
-    _refuse_bools(doc, "init", "x0", "delta", "sat", "mu")
-    sat = doc.get("sat", 0.0)
-    stds = _require(doc, "stds", "init")
-    weights = _require(doc, "weights", "init")
-    try:
-        return MixtureModel.from_ladder(x0, delta, sat, stds, weights,
-                                        constraint_kind=constraint,
-                                        poisson_mu=doc.get("mu"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"init: {exc}") from exc
+def _from_json(cls, doc, context: str, rename=None, **given):
+    """The dataclass `cls` built from the JSON object `doc`.
+
+    Each field not in `given` is read from the key of its name (or its
+    `rename` spelling); a field without a default is required.  `given`
+    holds values already built: nested types and the --seed override.  The
+    type's own refusals become a ConfigError naming `context`.
+    """
+    rename = rename or {}
+    read = [f for f in fields(cls) if f.name not in given]
+    keys = {f.name: rename.get(f.name, f.name) for f in read}
+    values = _read(doc, context, keys.values(),
+                   [keys[f.name] for f in read if f.default is MISSING])
+    kwargs = {name: values[key] for name, key in keys.items() if key in values}
+    with _refusals(context):
+        return cls(**kwargs, **given)
+
+
+def _init_model(doc, constraint: Constraint) -> MixtureModel:
+    """The fit's starting ladder from its JSON keys x0, delta, sat, stds, weights, mu."""
+    init = _read(doc, "init", ("x0", "delta", "sat", "stds", "weights", "mu"),
+                 ("x0", "delta", "stds", "weights"))
+    with _refusals("init"):
+        return MixtureModel.from_ladder(init["x0"], init["delta"], init.get("sat", 0.0),
+                                        init["stds"], init["weights"],
+                                        constraint_kind=constraint, poisson_mu=init.get("mu"))
 
 
 def _out_dir(args) -> Path:
@@ -137,24 +142,14 @@ def _say(args, message: str) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def _build_sim_config(doc: dict, seed_override) -> SimConfig:
-    model = _model_from_json(_require(doc, "model", "config"), "config.model")
-    _refuse_bools(doc, "config", "n_pulses", "seed", "bin_width")
-    n_pulses = _require(doc, "n_pulses", "config")
-    seed = seed_override if seed_override is not None else _require(doc, "seed", "config")
-    for name, value in (("n_pulses", n_pulses), ("seed", seed)):
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"config: {name} must be a whole number, got {value!r}")
-    try:
-        return SimConfig(model=model, n_pulses=int(n_pulses), seed=int(seed),
-                         bin_width=doc.get("bin_width", "auto"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: {exc}") from exc
+def _build_sim_config(doc, seed_override, context: str) -> SimConfig:
+    _read(doc, context, (), ("model",))
+    model = _from_json(DetectorModel, doc["model"], f"{context}.model")
+    seed = {} if seed_override is None else {"seed": seed_override}
+    return _from_json(SimConfig, doc, context, model=model, **seed)
 
 
-def _run_simulate(doc: dict, args) -> tuple:
-    cfg = _build_sim_config(doc, args.seed)
-    t0 = time.monotonic()
+def _run_simulate(cfg: SimConfig, args) -> tuple:
     records, hist = run(cfg, workers=args.workers)
     out = _out_dir(args)
     pulses_path = out / "pulses.csv"
@@ -162,33 +157,25 @@ def _run_simulate(doc: dict, args) -> tuple:
     write_pulses_csv(pulses_path, records)
     write_histogram_csv(hist_path, hist)
     _say(args, f"simulated {cfg.n_pulses} pulses -> {pulses_path}, {hist_path}")
-    return cfg, records, hist, [str(pulses_path), str(hist_path)], t0
+    return hist, [str(pulses_path), str(hist_path)]
 
 
 def cmd_simulate(args) -> int:
     doc = _load_json(args.config)
-    cfg, _, _, outputs, t0 = _run_simulate(doc, args)
+    cfg = _build_sim_config(doc, args.seed, "config")
+    t0 = time.monotonic()
+    _, outputs = _run_simulate(cfg, args)
     RunManifest("simulate", doc, cfg.seed, __version__, outputs,
                 time.monotonic() - t0).write(_out_dir(args))
     return 0
 
 
-def _build_fit_config(doc: dict) -> FitConfig:
-    _refuse_bools(doc, "fit config", "n_peaks", "max_iterations", "tolerance")
-    constraint = Constraint.parse(str(doc.get("constraint", "free")))
-    init = None
-    if doc.get("init") is not None:
-        init = _init_model_from_json(doc["init"], constraint)
-    try:
-        return FitConfig(
-            n_peaks=doc.get("n_peaks", "auto"),
-            constraint=constraint,
-            max_iterations=int(doc.get("max_iterations", 500)),
-            tolerance=float(doc.get("tolerance", 1e-9)),
-            init=init,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"fit config: {exc}") from exc
+def _build_fit_config(doc, context: str) -> FitConfig:
+    _read(doc, context, ())          # an object, before .get reads it
+    with _refusals(context):
+        constraint = Constraint.parse(doc.get("constraint", "free"))
+    init = None if doc.get("init") is None else _init_model(doc["init"], constraint)
+    return _from_json(FitConfig, doc, context, constraint=constraint, init=init)
 
 
 def _write_fit_outputs(report, hist, out: Path, args) -> list:
@@ -212,7 +199,7 @@ def _write_fit_outputs(report, hist, out: Path, args) -> list:
 def cmd_fit(args) -> int:
     hist = read_histogram_csv(args.histogram)
     doc = _load_json(args.fit_config)
-    cfg = _build_fit_config(doc)
+    cfg = _build_fit_config(doc, "fit config")
     t0 = time.monotonic()
     report = fit_spectrum(hist, cfg)
     out = _out_dir(args)
@@ -267,30 +254,21 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_qe(args) -> int:
-    doc = _load_json(args.config)
-    try:
-        inp = EfficiencyInput(
-            wavelength=float(_require(doc, "wavelength_m", "config")),
-            power=float(_require(doc, "power_w", "config")),
-            nd_transmission=float(_require(doc, "nd_transmission", "config")),
-            counts=float(_require(doc, "counts_per_s", "config")),
-            dark_counts=float(_require(doc, "dark_counts_per_s", "config")),
-            loss_factors=tuple(doc.get("loss_factors", ())),
-        )
-        result = measured_efficiency(inp)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    print(json.dumps(efficiency_to_json(result), indent=2))
+    # the JSON names of the fields that carry a unit
+    inp = _from_json(EfficiencyInput, _load_json(args.config), "config", rename={
+        "wavelength": "wavelength_m", "power": "power_w", "counts": "counts_per_s",
+        "dark_counts": "dark_counts_per_s"})
+    print(json.dumps(efficiency_to_json(measured_efficiency(inp)), indent=2))
     return 0
 
 
 def cmd_pipeline(args) -> int:
     doc = _load_json(args.config)
-    sim_doc = _require(doc, "simulate", "config")
-    fit_doc = _require(doc, "fit", "config")
+    _read(doc, "config", (), ("simulate", "fit"))
+    cfg = _build_sim_config(doc["simulate"], args.seed, "simulate")
+    fit_cfg = _build_fit_config(doc["fit"], "fit")
     t0 = time.monotonic()
-    cfg, _, hist, outputs, _ = _run_simulate(sim_doc, args)
-    fit_cfg = _build_fit_config(fit_doc)
+    hist, outputs = _run_simulate(cfg, args)
     report = fit_spectrum(hist, fit_cfg)
     out = _out_dir(args)
     outputs += _write_fit_outputs(report, hist, out, args)

@@ -12,8 +12,9 @@ attempted anywhere.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -146,6 +147,16 @@ def _std_normal_cdf_pdf(z):
     return cdf.reshape(z.shape), (e / _SQRT2PI).reshape(z.shape)
 
 
+def _whole(name: str, value) -> int:
+    """`value` as an int: an int, or a float with no fractional part (JSON may
+    write 1e5).  Bools, fractions and non-numbers are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)):
+        raise TypeError(f"{name} must be a whole number, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _log_factorials(n: int) -> np.ndarray:
     """ln k! at k = 0..n-1 by math.lgamma (scipy's gammaln differs by a few ulp)."""
     return np.array([math.lgamma(j + 1.0) for j in range(n)])
@@ -224,6 +235,10 @@ class DetectorModel:
     cell_count: int | None = None      # None = infinite active-area cells
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "cell_count" and not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if not 0.0 <= self.quantum_efficiency <= 1.0:
             raise ValueError(f"quantum_efficiency must lie in [0, 1], got {self.quantum_efficiency}")
         if self.mean_photon_number < 0:
@@ -236,7 +251,8 @@ class DetectorModel:
         if self.dark_rate_per_gate < 0:
             raise ValueError("dark_rate_per_gate must be >= 0")
         if self.cell_count is not None:
-            if not isinstance(self.cell_count, (int, np.integer)) or self.cell_count < 1:
+            object.__setattr__(self, "cell_count", _whole("cell_count", self.cell_count))
+            if self.cell_count < 1:
                 raise ValueError(f"cell_count must be a positive integer or None, got {self.cell_count}")
 
 
@@ -303,10 +319,12 @@ class GaussianPeak:
     def __post_init__(self):
         if self.index < 0:
             raise ValueError("peak index must be >= 0")
-        if self.std_dev <= 0:
-            raise ValueError(f"peak std_dev must be > 0, got {self.std_dev}")
-        if self.weight < 0:
-            raise ValueError("peak weight must be >= 0")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"peak mean must be finite, got {self.mean}")
+        if not 0 < self.std_dev < math.inf:
+            raise ValueError(f"peak std_dev must be finite and > 0, got {self.std_dev}")
+        if not 0 <= self.weight < math.inf:
+            raise ValueError(f"peak weight must be finite and >= 0, got {self.weight}")
 
 
 class Constraint(Enum):
@@ -366,6 +384,8 @@ class MixtureModel:
             raise ValueError(f"peak weights must sum to 1 within 1e-9, got {total!r}")
         if self.constraint_kind is Constraint.POISSON_WEIGHTS and self.poisson_mu is None:
             raise ValueError("POISSON_WEIGHTS model requires poisson_mu")
+        if self.poisson_mu is not None and not isinstance(self.poisson_mu, numbers.Real):
+            raise TypeError(f"poisson_mu must be a number or None, got {self.poisson_mu!r}")
         object.__setattr__(self, "peaks", peaks)
 
     # -- constructors -------------------------------------------------

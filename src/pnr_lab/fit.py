@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import (Constraint, Histogram, MixtureModel, _log_factorials, _normalized_exp,
                    _poisson_log_pmf, _std_normal_cdf_pdf, _variance_components,
-                   _variance_parts)
+                   _variance_parts, _whole)
 
 __all__ = [
     "FitConfig",
@@ -65,11 +65,11 @@ class FitConfig:
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
-        if isinstance(self.n_peaks, str):
-            if self.n_peaks != "auto":
-                raise ValueError(f"n_peaks must be an integer >= 2 or 'auto', got {self.n_peaks!r}")
-        elif self.n_peaks < 2:
-            raise ValueError("n_peaks must be >= 2")
+        if self.n_peaks != "auto":
+            object.__setattr__(self, "n_peaks", _whole("n_peaks", self.n_peaks))
+            if self.n_peaks < 2:
+                raise ValueError("n_peaks must be >= 2")
+        object.__setattr__(self, "max_iterations", _whole("max_iterations", self.max_iterations))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 

@@ -164,9 +164,8 @@ def variance_law(peaks) -> NoiseReport:
     if spacing <= 0:
         raise ValueError("peak means must be increasing to define a gain")
     enf = 1.0 + float(v_m) / spacing**2
-    bound = math.inf if enf <= 1.0 else 1.0 / (enf - 1.0)
     return NoiseReport(sigma_m_sq=float(v_m), sigma_0_sq=float(v_0), enf=enf,
-                       n_max=bound, regression_residual=resid)
+                       n_max=n_max(max(enf, 1.0)), regression_residual=resid)
 
 
 # ---------------------------------------------------------------------------

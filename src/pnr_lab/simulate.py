@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DetectorModel, Histogram, _log_factorials, _poisson_log_pmf, substream
+from .core import DetectorModel, Histogram, _log_factorials, _poisson_log_pmf, _whole, substream
 
 __all__ = [
     "CHUNK_PULSES",
@@ -78,6 +78,8 @@ class SimConfig:
     bin_width: float | str = "auto"   # "auto" = gain/12
 
     def __post_init__(self):
+        object.__setattr__(self, "n_pulses", _whole("n_pulses", self.n_pulses))
+        object.__setattr__(self, "seed", _whole("seed", self.seed))
         if self.n_pulses < 1:
             raise ValueError("n_pulses must be >= 1")
         if self.n_pulses > MAX_PULSES:

@@ -1,7 +1,9 @@
 """End-to-end command-line checks, driven through main() plus one subprocess."""
 
+import copy
 import importlib.metadata
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnr_lab import (FitConfig, Histogram, __version__, build_scheme, expected_counts,
                      fit_spectrum, photon_flux, read_histogram_csv, variance_law,
@@ -38,6 +42,8 @@ def sim_config(tmp_path):
 
 
 FIT_DOC = {"n_peaks": 5, "constraint": "free"}
+QE_DOC = {"wavelength_m": 543e-9, "power_w": 2e-9, "nd_transmission": 1e-4,
+          "counts_per_s": 464749.6, "dark_counts_per_s": 100.0, "loss_factors": [0.93, 0.99]}
 
 
 def run_sim(tmp_path, sim_config, sub="runA", extra=()):
@@ -98,21 +104,28 @@ def test_simulate_missing_field_exit_2(tmp_path, capsys):
     assert "n_pulses" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("n_pulses", 2000.9), ("seed", 16.6)])
+@pytest.mark.parametrize("field, value", [("n_pulses", 2000.9), ("seed", 16.6),
+                                          ("n_peaks", 7.5), ("max_iterations", 2.7)])
 def test_simulate_fractional_integer_field_exit_2(tmp_path, capsys, field, value):
-    doc = {"model": SIM_MODEL, "n_pulses": 2000, "seed": 16, field: value}
-    cfg = write_config(tmp_path / "frac.json", doc)
-    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
+    doc = {"model": SIM_MODEL, "n_pulses": 2000, "seed": 16}
+    if field in doc:
+        argv = ["simulate", write_config(tmp_path / "frac.json", dict(doc, **{field: value}))]
+    else:  # pipeline reads its fit section before it simulates
+        argv = ["pipeline", write_config(tmp_path / "frac.json",
+                                         {"simulate": doc, "fit": dict(FIT_DOC, **{field: value})})]
+    assert main([*argv, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
     assert f"{field} must be a whole number" in capsys.readouterr().err
     assert not (tmp_path / "o" / "pulses.csv").exists()
 
 
-@pytest.mark.parametrize("field", ["n_pulses", "seed", "quantum_efficiency", "cell_count"])
+@pytest.mark.parametrize("field", ["n_pulses", "seed", "quantum_efficiency", "cell_count",
+                                   "power_w"])
 def test_simulate_boolean_number_exit_2(tmp_path, capsys, field):
-    doc = {"model": dict(SIM_MODEL), "n_pulses": 2000, "seed": 16}
+    sim = {"model": dict(SIM_MODEL), "n_pulses": 2000, "seed": 16}
+    command, doc = ("qe", dict(QE_DOC)) if field in QE_DOC else ("simulate", sim)
     (doc if field in doc else doc["model"])[field] = True
     cfg = write_config(tmp_path / "bool.json", doc)
-    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
+    assert main([command, cfg, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
     assert f"{field} must be a number, got true" in capsys.readouterr().err
     assert not (tmp_path / "o" / "pulses.csv").exists()
 
@@ -136,6 +149,85 @@ def test_simulate_accepts_integral_floats(tmp_path):
     assert code == 0
     assert json.loads((out / "manifest.json").read_text())["seed"] == 16
     assert len((out / "pulses.csv").read_text().splitlines()) == 2 + 2000
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("pipeline", {"simulate": 5, "fit": {}}),
+    ("pipeline", {"simulate": {"model": SIM_MODEL, "n_pulses": 2000, "seed": 16}, "fit": 5}),
+    ("fit", 5),
+    ("fit", {"n_peaks": 5, "init": 5}),
+    ("simulate", {"model": 5, "n_pulses": 2000, "seed": 16}),
+    ("qe", [1]),
+], ids=["simulate-section", "fit-section", "fit-config", "init", "model", "qe-config"])
+def test_non_object_config_exit_2(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    hist = tmp_path / "hist.csv"
+    write_histogram_csv(hist, Histogram(bin_edges=np.linspace(0, 100, 11),
+                                        counts=np.ones(10, dtype=np.int64), total_pulses=10))
+    argv = [command, *([str(hist)] if command == "fit" else []), cfg]
+    assert main([*argv, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "expected an object" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "pulses.csv").exists()
+
+
+# every field of the simulate, fit and qe configs, init included, small enough
+# that a run the config survives costs ~20 ms
+SWEEP_DOCS = {
+    "pipeline": {
+        "simulate": {"model": dict(SIM_MODEL, area_offset=0.0, saturation_coeff=0.0,
+                                   dark_rate_per_gate=0.0, cell_count=None),
+                     "n_pulses": 2000, "seed": 3, "bin_width": "auto"},
+        "fit": {"n_peaks": 5, "constraint": "poisson", "max_iterations": 100, "tolerance": 1e-9,
+                "init": {"x0": 0.0, "delta": 135.0, "sat": 0.0,
+                         "stds": [11.0, 25.0, 32.0, 35.0, 39.0],
+                         "weights": [0.3, 0.36, 0.22, 0.09, 0.03], "mu": 1.2}}},
+    "qe": QE_DOC,
+}
+
+
+def _paths(doc, prefix=()):
+    """The path of `doc` itself and of every value inside its objects."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, (*prefix, key))
+
+
+SWEEP_SITES = [(command, path) for command, doc in SWEEP_DOCS.items() for path in _paths(doc)]
+
+# non-numeric JSON and a few small numbers, plus the NaN and Infinity that
+# Python's json module reads; no value asks for a large run
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4)
+    | st.sampled_from(["auto", "free", "poisson", "1000", "2e-9"])
+    | st.sampled_from([0, 1, -1, 3, 0.5, 7.5, math.inf, -math.inf, math.nan]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4)
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sweep")
+
+
+@pytest.mark.parametrize("command, path", SWEEP_SITES,
+                         ids=["-".join((c, *p)) for c, p in SWEEP_SITES])
+@settings(max_examples=12, deadline=None)
+@given(value=JSON_VALUES)
+def test_no_config_value_crashes_the_cli(sweep_dir, command, path, value):
+    """Any one field, section or whole config replaced by any JSON value ends
+    in a result or a refusal, never in a traceback."""
+    doc = copy.deepcopy(SWEEP_DOCS[command])
+    if path:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    else:
+        doc = value
+    cfg = write_config(sweep_dir / "cfg.json", doc)
+    assert main([command, cfg, "--out-dir", str(sweep_dir / "out"), "--quiet"]) in (0, 2, 4)
 
 
 def test_malformed_json_exit_2(tmp_path, capsys):

@@ -11,8 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pnr_lab
-from pnr_lab import (Constraint, DecisionScheme, DetectorModel, GaussianPeak,
-                     Histogram, MixtureModel, NoiseReport, gaussian_cdf,
+from pnr_lab import (Constraint, DecisionScheme, DetectorModel, FitConfig, GaussianPeak,
+                     Histogram, MixtureModel, NoiseReport, SimConfig, gaussian_cdf,
                      gaussian_pdf, poisson_weights, substream)
 from pnr_lab.core import _std_normal_cdf_pdf
 
@@ -184,6 +184,37 @@ def test_detector_model_validation():
         DetectorModel(mean_photon_number=2.0, quantum_efficiency=0.9,
                       gain_per_photon=100.0, mult_noise_var=10.0,
                       electronic_noise_var=5.0, cell_count=0)
+    for bad in (None, "1.0", math.inf, math.nan):
+        with pytest.raises(ValueError, match="area_offset must be a finite number"):
+            _small_model(area_offset=bad)
+
+
+def _small_model(**extra):
+    return DetectorModel(mean_photon_number=2.0, quantum_efficiency=0.9,
+                         gain_per_photon=100.0, mult_noise_var=10.0,
+                         electronic_noise_var=5.0, **extra)
+
+
+WHOLE_NUMBER_FIELDS = {
+    "n_pulses": lambda v: SimConfig(model=_small_model(), n_pulses=v, seed=1),
+    "seed": lambda v: SimConfig(model=_small_model(), n_pulses=10, seed=v),
+    "n_peaks": lambda v: FitConfig(n_peaks=v),
+    "max_iterations": lambda v: FitConfig(max_iterations=v),
+    "cell_count": lambda v: _small_model(cell_count=v),
+}
+
+
+@pytest.mark.parametrize("field", sorted(WHOLE_NUMBER_FIELDS))
+def test_config_types_take_whole_numbers(field):
+    """Integral floats (JSON may write 1e1) become ints; fractions, bools and
+    non-numbers are refused where the value is set, not deep inside a run."""
+    build = WHOLE_NUMBER_FIELDS[field]
+    value = getattr(build(1e1), field)
+    assert value == 10 and type(value) is int
+    assert getattr(build(np.int64(10)), field) == 10
+    for bad, error in ((7.5, ValueError), (True, TypeError), ("10", TypeError), ([10], TypeError)):
+        with pytest.raises(error, match=f"{field} must be a whole number"):
+            build(bad)
 
 
 # ---------------------------------------------------------------- histogram
@@ -265,6 +296,12 @@ def test_from_ladder_rejects_bad_weights():
         MixtureModel.from_ladder(0.0, 100.0, 0.0, [5.0, -1.0], [0.5, 0.5])
 
 
+def test_mixture_refuses_non_numeric_poisson_mu():
+    with pytest.raises(TypeError, match="poisson_mu must be a number"):
+        MixtureModel.from_ladder(0.0, 100.0, 0.0, [5.0, 6.0], [0.5, 0.5],
+                                 Constraint.POISSON_WEIGHTS, poisson_mu="1.5")
+
+
 def test_from_peaks_keeps_explicit_means(catalog_model):
     assert np.allclose(catalog_model.means(),
                        [0.0, 135.0, 275.0, 416.0, 561.0, 709.0, 859.0])
@@ -312,3 +349,8 @@ def test_noise_report_unbounded_flag():
 def test_gaussian_peak_fields():
     p = GaussianPeak(index=2, mean=275.0, std_dev=31.7, weight=0.25)
     assert (p.index, p.mean, p.std_dev, p.weight) == (2, 275.0, 31.7, 0.25)
+    for field in ("mean", "std_dev", "weight"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"peak {field} must be finite"):
+                GaussianPeak(**{"index": 2, "mean": 275.0, "std_dev": 31.7, "weight": 0.25,
+                                field: bad})
