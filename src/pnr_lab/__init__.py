@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .core import (Constraint, DecisionScheme, DegenerateDesignError,
                    DetectorModel, GaussianPeak, Histogram, MixtureModel,
-                   NoiseReport, gaussian_cdf, gaussian_pdf, poisson_weights,
-                   substream)
+                   NoiseReport, gaussian_cdf, substream)
 from .discriminate import (ConfusionMatrix, InvalidModelError,
                            NoIntersectionError, build_scheme, classify,
                            confusion, one_vs_many_error, threshold)
@@ -21,9 +20,9 @@ from .fit import (FitConfig, FitReport, FitSetupError, expected_counts,
 from .noise import (EfficiencyInput, EfficiencyResult, InsufficientDataError,
                     excess_noise_factor, measured_efficiency, n_max,
                     photon_flux, variance_law)
-from .simulate import (CapacityError, FormatError, PulseRecord, SimConfig,
+from .simulate import (CapacityError, FormatError, SimConfig,
                        histogram_from_areas, read_histogram_csv,
-                       read_pulses_csv, run, sample_pulse, write_histogram_csv,
+                       read_pulses_csv, run, write_histogram_csv,
                        write_pulses_csv)
 
 __all__ = [
@@ -31,11 +30,11 @@ __all__ = [
     # core
     "Constraint", "DecisionScheme", "DegenerateDesignError", "DetectorModel",
     "GaussianPeak", "Histogram", "MixtureModel", "NoiseReport",
-    "gaussian_cdf", "gaussian_pdf", "poisson_weights", "substream",
+    "gaussian_cdf", "substream",
     # simulate
-    "CapacityError", "FormatError", "PulseRecord", "SimConfig",
-    "histogram_from_areas", "read_histogram_csv", "read_pulses_csv", "run",
-    "sample_pulse", "write_histogram_csv", "write_pulses_csv",
+    "CapacityError", "FormatError", "SimConfig", "histogram_from_areas",
+    "read_histogram_csv", "read_pulses_csv", "run", "write_histogram_csv",
+    "write_pulses_csv",
     # fit
     "FitConfig", "FitReport", "FitSetupError", "expected_counts",
     "fit_spectrum", "init_guess", "report_from_json", "report_to_json",

@@ -28,7 +28,6 @@ __all__ = [
     "DecisionScheme",
     "NoiseReport",
     "DegenerateDesignError",
-    "gaussian_pdf",
     "gaussian_cdf",
     "substream",
 ]
@@ -64,15 +63,6 @@ def substream(seed: int, index: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # numerical primitives
 # ---------------------------------------------------------------------------
-
-def gaussian_pdf(x, mean: float, std_dev: float):
-    """Normal density; accepts scalars or arrays."""
-    if std_dev <= 0:
-        raise ValueError(f"std_dev must be > 0, got {std_dev}")
-    z = (np.asarray(x, dtype=float) - mean) / std_dev
-    out = np.exp(-0.5 * z * z) / (std_dev * math.sqrt(2.0 * math.pi))
-    return float(out) if np.isscalar(x) else out
-
 
 def gaussian_cdf(x, mean, std_dev):
     """Normal CDF to 1e-15 absolute, 1e-12 relative where >= 1e-250 (inside
@@ -345,13 +335,6 @@ class Constraint(Enum):
         )
 
 
-def poisson_weights(mu: float, k: int) -> np.ndarray:
-    """Poisson pmf at 0..k-1, renormalized over those k terms."""
-    if mu <= 0:
-        raise ValueError("poisson mu must be > 0")
-    return _normalized_exp(_poisson_log_pmf(mu, _log_factorials(k)))
-
-
 @dataclass(frozen=True)
 class MixtureModel:
     """Ordered Gaussian photon-number peaks plus the ladder that ties their means.
@@ -360,7 +343,7 @@ class MixtureModel:
     the fitter always have means derived from the ladder (the exactness
     invariant); models built from externally supplied peak lists keep the
     supplied means authoritative and store the least-squares ladder as a
-    description.  `ladder_residual()` reports the difference.
+    description.
     """
 
     peaks: tuple
@@ -452,22 +435,6 @@ class MixtureModel:
 
     def weights(self) -> np.ndarray:
         return np.array([p.weight for p in self.peaks])
-
-    def ladder_means(self) -> np.ndarray:
-        i = np.arange(self.n_peaks, dtype=float)
-        return self.x0 + i * self.spacing - i * i * self.sat
-
-    def ladder_residual(self) -> float:
-        """Max |peak mean - ladder prediction|; 0 for fitter-produced models."""
-        return float(np.abs(self.means() - self.ladder_means()).max())
-
-    def density(self, x) -> np.ndarray:
-        """Mixture density at x (unit total mass)."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for p in self.peaks:
-            out += p.weight * gaussian_pdf(x, p.mean, p.std_dev)
-        return out
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,8 @@ def build_scheme(model: MixtureModel, priors: str = "equal") -> DecisionScheme:
 
     priors="equal" uses the equal-weight intersections (the worst case for
     discrimination); priors="from-weights" uses the intersections of the
-    weighted densities.  Both come from the closed form of `threshold`.
+    weighted densities.  Both come from the one closed form in `_crossing`,
+    equal priors being a log weight ratio of 0.
 
     error_per_number[i] sums, over every other peak j, the unit-normalized
     mass of peak j inside region i, each term scaled by peak j's prior
@@ -147,20 +148,29 @@ def _cuts_and_mass(model: MixtureModel, priors: str):
 
     if priors == "equal":
         pri = np.full(k, 1.0 / k)
-        cuts = [threshold(means[i], sigmas[i], means[i + 1], sigmas[i + 1])
-                for i in range(k - 1)]
     elif priors == "from-weights":
         w = model.weights()
         if (w <= 0).any():
             raise InvalidModelError("from-weights priors require strictly positive weights")
         pri = w / w.sum()
-        log_pri = np.log(pri)
-        cuts = [_crossing(means[i], sigmas[i], means[i + 1], sigmas[i + 1],
-                          log_pri[i] - log_pri[i + 1])
-                for i in range(k - 1)]
     else:
         raise ValueError(f"priors must be 'equal' or 'from-weights', got {priors!r}")
+    # Python floats: _crossing's scalar math is over twice as slow on numpy scalars
+    x, s, g = means.tolist(), sigmas.tolist(), (-np.diff(np.log(pri))).tolist()
+    cuts = [_crossing(x[i], s[i], x[i + 1], s[i + 1], g[i]) for i in range(k - 1)]
     return cuts, pri, _region_mass(means, sigmas, cuts)
+
+
+def _checked_priors(priors, k: int) -> np.ndarray:
+    """`priors` as a float array of length k, finite, >= 0 and not all zero."""
+    pri = np.asarray(priors, dtype=float)
+    if pri.shape != (k,):
+        raise ValueError(f"priors must have length {k}")
+    if not np.isfinite(pri.sum()):
+        raise ValueError(f"priors and their sum must be finite, got {pri.tolist()}")
+    if (pri < 0).any() or pri.sum() <= 0:
+        raise ValueError("priors must be nonnegative and not all zero")
+    return pri
 
 
 def classify(area, scheme: DecisionScheme):
@@ -186,11 +196,7 @@ def one_vs_many_error(model: MixtureModel, priors) -> float:
     """
     if model.n_peaks < 3:
         raise InvalidModelError("one-vs-many needs peaks 0, 1 and at least one more")
-    pri = np.asarray(priors, dtype=float)
-    if pri.shape != (model.n_peaks,):
-        raise ValueError(f"priors must have length {model.n_peaks}")
-    if (pri < 0).any() or pri.sum() <= 0:
-        raise ValueError("priors must be nonnegative and not all zero")
+    pri = _checked_priors(priors, model.n_peaks)
     pri = pri / pri.sum()
     _, _, mass = _cuts_and_mass(model, "equal")
     p_one = pri[1]
@@ -209,11 +215,7 @@ def confusion(model: MixtureModel, priors) -> ConfusionMatrix:
     entries; they are carried along for downstream weighting.
     """
     _, _, mass = _cuts_and_mass(model, "equal")
-    k = model.n_peaks
-    pri = np.asarray(priors, dtype=float)
-    if pri.shape != (k,):
-        raise ValueError(f"priors must have length {k}")
-    return ConfusionMatrix(mass, tuple(pri))
+    return ConfusionMatrix(mass, tuple(_checked_priors(priors, model.n_peaks)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ bin, and the variance components reach it by the chain rule.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,9 @@ class FitConfig:
     init: MixtureModel | None = None
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        if not (isinstance(self.tolerance, numbers.Real) and math.isfinite(self.tolerance)
+                and self.tolerance > 0):
+            raise ValueError(f"tolerance must be a finite number > 0, got {self.tolerance!r}")
         if self.n_peaks != "auto":
             object.__setattr__(self, "n_peaks", _whole("n_peaks", self.n_peaks))
             if self.n_peaks < 2:
@@ -81,7 +83,6 @@ class FitReport:
     iterations: int
     converged: bool
     warnings: tuple = ()
-    objective_trace: tuple = ()          # objective after each accepted step
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +131,7 @@ def init_guess(hist: Histogram, n_peaks="auto") -> MixtureModel:
     centers = hist.centers[prominent]
     x0 = float(centers[0])
     spacing = float(np.median(np.diff(centers)))
-    if n_peaks == "auto":
-        k = len(prominent) + 2
-    else:
-        k = int(n_peaks)
-        if k < 2:
-            raise FitSetupError("n_peaks must be >= 2")
+    k = len(prominent) + 2 if n_peaks == "auto" else _whole("n_peaks", n_peaks)
 
     # mass between midpoints of the guessed ladder -> starting weights
     ladder = x0 + spacing * np.arange(k)
@@ -368,7 +364,6 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
         p, (r, obj, means, parts) = _best_width_scale(prob, p)
     else:
         r, obj, means, parts = prob.evaluate(p)
-    trace = [obj]
 
     lam = 1e-3
     converged = False
@@ -421,15 +416,13 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
             break                   # no damping gives an acceptable step
         rel_drop = (obj - obj2) / max(obj, 1e-300)
         p, means, parts, r, obj = p_try, means2, parts2, r2, obj2
-        trace.append(obj)
         lam = max(lam / 10.0, 1e-12)
         if rel_drop < cfg.tolerance:
             converged = True
             break
 
     return FitReport(model=prob.to_model(p), objective=obj, iterations=iterations,
-                     converged=converged, warnings=tuple(warnings),
-                     objective_trace=tuple(trace))
+                     converged=converged, warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

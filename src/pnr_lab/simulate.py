@@ -33,10 +33,8 @@ from .core import DetectorModel, Histogram, _log_factorials, _poisson_log_pmf, _
 __all__ = [
     "CHUNK_PULSES",
     "SimConfig",
-    "PulseRecord",
     "CapacityError",
     "FormatError",
-    "sample_pulse",
     "run",
     "histogram_from_areas",
     "write_pulses_csv",
@@ -50,8 +48,8 @@ MAX_PULSES = 10_000_000      # storage budget guard (~240 MB of records)
 CSV_VERSION = "# pnr-lab v1"
 
 PULSE_DTYPE = np.dtype([
-    ("true_incident", np.int64),
-    ("true_detected", np.int64),
+    ("true_incident", np.int64),   # photons arriving at the detector
+    ("true_detected", np.int64),   # detections that fired, dark counts included
     ("area", np.float64),
 ])
 
@@ -96,13 +94,6 @@ class SimConfig:
         if self.bin_width == "auto":
             return self.model.gain_per_photon / 12.0
         return float(self.bin_width)
-
-
-@dataclass(frozen=True)
-class PulseRecord:
-    true_incident: int    # photons arriving at the detector
-    true_detected: int    # detections that actually fired (dark counts included)
-    area: float
 
 
 def _poisson_inverse(rng: np.random.Generator, mu: float, n: int) -> np.ndarray:
@@ -163,12 +154,6 @@ def _sample_chunk(model: DetectorModel, rng: np.random.Generator, n: int) -> np.
     out["true_detected"] = detected
     out["area"] = area
     return out
-
-
-def sample_pulse(model: DetectorModel, rng: np.random.Generator) -> PulseRecord:
-    """Draw a single pulse from an externally managed random stream."""
-    rec = _sample_chunk(model, rng, 1)[0]
-    return PulseRecord(int(rec["true_incident"]), int(rec["true_detected"]), float(rec["area"]))
 
 
 def run(config: SimConfig, workers: int = 1):

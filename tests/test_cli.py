@@ -133,13 +133,15 @@ def test_simulate_boolean_number_exit_2(tmp_path, capsys, field):
 @pytest.mark.parametrize("field, extra", [
     ("max_iterations", {"max_iterations": True}),
     ("x0", {"init": {"x0": True, "delta": 135.0, "stds": [10.0] * 5, "weights": [0.2] * 5}}),
+    ("tolerance", {"tolerance": math.nan}),
 ])
 def test_fit_boolean_number_exit_2(tmp_path, sim_config, capsys, field, extra):
     _, out = run_sim(tmp_path, sim_config)
     fit_cfg = write_config(tmp_path / "fit.json", dict(FIT_DOC, **extra))
     assert main(["fit", str(out / "histogram.csv"), fit_cfg,
                  "--out-dir", str(tmp_path / "fit"), "--quiet"]) == 2
-    assert f"{field} must be a number, got true" in capsys.readouterr().err
+    rule = "a finite number > 0, got nan" if field == "tolerance" else "a number, got true"
+    assert f"{field} must be {rule}" in capsys.readouterr().err
 
 
 def test_simulate_accepts_integral_floats(tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import math
 import os
 import subprocess
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 import pnr_lab
 from pnr_lab import (Constraint, DecisionScheme, DetectorModel, FitConfig, GaussianPeak,
-                     Histogram, MixtureModel, NoiseReport, SimConfig, gaussian_cdf,
-                     gaussian_pdf, poisson_weights, substream)
-from pnr_lab.core import _std_normal_cdf_pdf
+                     Histogram, MixtureModel, NoiseReport, SimConfig, gaussian_cdf, substream)
+from pnr_lab.core import (_log_factorials, _normalized_exp, _poisson_log_pmf,
+                          _std_normal_cdf_pdf)
 
 
 # ---------------------------------------------------------------- dependencies
@@ -42,6 +43,20 @@ def test_import_loads_no_scipy():
                            "import sys, pnr_lab; print('scipy' in sys.modules)"],
                           env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    """Every name in the package's and each module's `__all__` exists, so a
+    name deleted from a module cannot stay behind in an export list."""
+    modules = ["pnr_lab"] + [f"pnr_lab.{path.stem}"
+                             for path in sorted(Path(pnr_lab.__file__).parent.glob("*.py"))
+                             if not path.stem.startswith("__")]
+    for name in modules:
+        module = importlib.import_module(name)
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
+        namespace = {}
+        exec(f"from {name} import *", namespace)
+        assert set(module.__all__) <= set(namespace), name
 
 
 # ---------------------------------------------------------------- substream
@@ -155,12 +170,6 @@ def test_normal_kernel_density_is_exact():
     assert np.all(pdf[~normal] == 0.0)
 
 
-def test_gaussian_pdf_matches_closed_form():
-    x, m, s = 1.3, 0.4, 2.1
-    expect = math.exp(-0.5 * ((x - m) / s) ** 2) / (s * math.sqrt(2 * math.pi))
-    assert gaussian_pdf(x, m, s) == pytest.approx(expect, rel=1e-14)
-
-
 # ---------------------------------------------------------------- detector model
 
 def test_detector_model_validation():
@@ -187,6 +196,10 @@ def test_detector_model_validation():
     for bad in (None, "1.0", math.inf, math.nan):
         with pytest.raises(ValueError, match="area_offset must be a finite number"):
             _small_model(area_offset=bad)
+    # the fit config's tolerance takes the same finite-number check
+    for bad in (math.nan, math.inf, -math.inf, 0.0, None, "1e-9"):
+        with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+            FitConfig(tolerance=bad)
 
 
 def _small_model(**extra):
@@ -274,7 +287,8 @@ def test_constraint_parse_rejects_unknown():
 
 
 def test_poisson_weights_normalized_pmf():
-    w = poisson_weights(3.0, 8)
+    # the fit's POISSON_WEIGHTS weights, as _Problem.unpack computes them
+    w = _normalized_exp(_poisson_log_pmf(3.0, _log_factorials(8)))
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     raw = np.array([math.exp(-3.0) * 3.0 ** i / math.factorial(i) for i in range(8)])
     assert np.allclose(w, raw / raw.sum(), rtol=1e-12)
@@ -286,7 +300,9 @@ def test_from_ladder_means_are_exact():
     m = MixtureModel.from_ladder(10.0, 100.0, 2.0, [5.0, 6.0, 7.0],
                                  [0.5, 0.3, 0.2])
     assert np.allclose(m.means(), [10.0, 108.0, 202.0])   # x0 + i*100 - i^2*2
-    assert m.ladder_residual() == pytest.approx(0.0, abs=1e-18)
+    i = np.arange(3.0)
+    assert np.abs(m.means() - (m.x0 + i * m.spacing - i * i * m.sat)).max() == pytest.approx(
+        0.0, abs=1e-18)
 
 
 def test_from_ladder_rejects_bad_weights():
@@ -309,19 +325,15 @@ def test_from_peaks_keeps_explicit_means(catalog_model):
     assert catalog_model.x0 == pytest.approx(-0.285714285714365, abs=1e-9)
     assert catalog_model.spacing == pytest.approx(134.4642857142858, rel=1e-12)
     assert catalog_model.sat == pytest.approx(-1.4642857142857169, rel=1e-9)
-    assert catalog_model.ladder_residual() < 1.0
+    i = np.arange(7.0)
+    ladder = catalog_model.x0 + i * catalog_model.spacing - i * i * catalog_model.sat
+    assert np.abs(catalog_model.means() - ladder).max() < 1.0
 
 
 def test_from_peaks_two_point_fallback():
     m = MixtureModel.from_peaks([0.0, 100.0], [5.0, 5.0])
     assert m.spacing == pytest.approx(100.0)
     assert m.sat == pytest.approx(0.0)
-
-
-def test_density_integrates_to_one(law_model):
-    xs = np.linspace(-200.0, 1400.0, 20001)
-    total = np.trapezoid(law_model.density(xs), xs)
-    assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_mixture_constraint_recorded(law_model):

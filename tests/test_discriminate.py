@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnr_lab import (
     ConfusionMatrix,
@@ -175,6 +177,35 @@ def test_scheme_rejects_bad_inputs(catalog_model):
         build_scheme(catalog_model, "bayes")
 
 
+def _scheme_or_refusal(model, priors):
+    try:
+        return build_scheme(model, priors).thresholds
+    except NoIntersectionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(2, 9))
+def test_scheme_cuts_are_one_closed_form(data, k):
+    """Equal-prior cuts are `threshold` of each adjacent pair, and from-weights
+    cuts with uniform weights are the equal-prior cuts, bit for bit; where no
+    crossing exists both sides refuse with the same error."""
+    x0 = data.draw(st.floats(-1e3, 1e3))
+    gaps = data.draw(st.lists(st.floats(0.5, 500.0), min_size=k - 1, max_size=k - 1))
+    means = (x0 + np.concatenate([[0.0], np.cumsum(gaps)])).tolist()
+    sigmas = data.draw(st.lists(st.floats(0.1, 300.0), min_size=k, max_size=k))
+    raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    weighted = MixtureModel.from_peaks(means, sigmas, raw / raw.sum())
+    try:
+        expected = tuple(threshold(means[i], sigmas[i], means[i + 1], sigmas[i + 1])
+                         for i in range(k - 1))
+    except NoIntersectionError as exc:
+        expected = str(exc)
+    assert _scheme_or_refusal(weighted, "equal") == expected
+    uniform = MixtureModel.from_peaks(means, sigmas, np.full(k, 1.0 / k))
+    assert _scheme_or_refusal(uniform, "from-weights") == expected
+
+
 # ---------------------------------------------------------------- classify
 
 def test_classify_regions_and_tie_break(catalog_model):
@@ -249,6 +280,10 @@ def test_one_vs_many_validation(catalog_model):
         one_vs_many_error(catalog_model, [0.5, 0.5])  # wrong length
     with pytest.raises(ValueError):
         one_vs_many_error(catalog_model, [1, 0, 0, 0, 0, 0, 0])  # no mass on 1/many
+    for bad in ([-1, 2, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0],
+                [math.nan, 1, 1, 1, 1, 1, 1], [math.inf, 1, 1, 1, 1, 1, 1]):
+        with pytest.raises(ValueError, match="priors"):
+            one_vs_many_error(catalog_model, bad)
 
 
 # ---------------------------------------------------------------- confusion
@@ -276,6 +311,13 @@ def test_confusion_matrix_validation():
         ConfusionMatrix(bad, (0.5, 0.5))
     with pytest.raises(ValueError):
         ConfusionMatrix(np.ones((2, 3)) / 3, (0.5, 0.5))
+    model = MixtureModel.from_peaks([0.0, 100.0, 200.0, 300.0], [10.0] * 4)
+    for bad in ([0.5, 0.5], [-1, 2, 0, 0], [0, 0, 0, 0], [math.nan, 1, 1, 1],
+                [math.inf, 1, 1, 1]):
+        with pytest.raises(ValueError, match="priors"):
+            confusion(model, bad)
+    # kept as given, not normalized: analysis.json publishes them
+    assert confusion(model, [2, 2, 0, 0]).priors == (2.0, 2.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------- serializers

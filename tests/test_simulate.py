@@ -7,8 +7,7 @@ import pytest
 
 from pnr_lab import (CapacityError, DetectorModel, FormatError, SimConfig,
                      histogram_from_areas, read_histogram_csv, read_pulses_csv,
-                     run, sample_pulse, substream, write_histogram_csv,
-                     write_pulses_csv)
+                     run, write_histogram_csv, write_pulses_csv)
 from pnr_lab.simulate import CHUNK_PULSES, MAX_PULSES, PULSE_DTYPE
 
 
@@ -122,10 +121,13 @@ def test_saturation_monotone_in_cell_count():
     assert all(a >= b - 1e-9 for a, b in zip(means, means[1:]))
 
 
-def test_sample_pulse_single_draw(ref_detector):
-    rec = sample_pulse(ref_detector, substream(123, 0))
-    assert rec.true_detected <= rec.true_incident
-    assert np.isfinite(rec.area)
+def test_run_single_pulse(ref_detector):
+    # one pulse is one partial chunk
+    recs, hist = run(SimConfig(ref_detector, n_pulses=1, seed=123))
+    assert len(recs) == 1
+    assert recs["true_detected"][0] <= recs["true_incident"][0]
+    assert np.isfinite(recs["area"][0])
+    assert hist.counts.sum() == 1 and hist.total_pulses == 1
 
 
 # ---------------------------------------------------------------- histograms
