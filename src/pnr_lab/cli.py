@@ -2,7 +2,9 @@
 
 Commands: simulate, fit, analyze, qe, and pipeline (the first three chained).
 Configs are JSON, bulk data is CSV, and every run that writes files drops a
-manifest.json recording what was produced from which config.
+manifest.json recording what was produced from which config.  This module is
+the only place that turns results into files: `_json` writes every JSON
+output and `_recorded` runs every file-writing command.
 
 Exit codes: 0 success, 2 config/input error, 3 I/O error, 4 fit did not
 converge (the report is still written).
@@ -15,49 +17,68 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import Constraint, DetectorModel, MixtureModel, _variance_parts
-from .discriminate import build_scheme, confusion, confusion_to_json, scheme_to_json
-from .fit import (FitConfig, expected_counts, fit_spectrum, report_from_json,
+from .core import (Constraint, DetectorModel, Histogram, MixtureModel, NoiseReport,
+                   _variance_parts)
+from .discriminate import build_scheme, confusion
+from .fit import (FitConfig, FitReport, expected_counts, fit_spectrum, report_from_json,
                   report_to_json)
-from .noise import (EfficiencyInput, efficiency_to_json, measured_efficiency,
-                    noise_report_to_json, variance_law)
+from .noise import EfficiencyInput, measured_efficiency, variance_law
 from .simulate import (SimConfig, read_histogram_csv, run, write_histogram_csv,
                        write_pulses_csv, write_table)
 
-__all__ = ["main", "RunManifest", "ConfigError"]
+__all__ = ["main", "ConfigError"]
 
 
 class ConfigError(Exception):
     """Bad or missing configuration; maps to exit code 2."""
 
 
-@dataclass
-class RunManifest:
-    """Record of one command invocation: inputs, outputs, provenance.
+# ---------------------------------------------------------------------------
+# output: one JSON writer, one recorded run
+# ---------------------------------------------------------------------------
 
-    `outputs` lists the data files written (the manifest itself is excluded,
-    since it cannot list its own bytes).  Data files are byte-identical on
-    re-runs with the same config; the manifest differs in its wall-clock
-    duration field.
-    """
+def _jsonable(obj):
+    """An array as nested lists, a result dataclass as its fields in order
+    (`fields` refuses anything else with the TypeError json expects).  JSON
+    has no infinity: a noise report's infinite n_max is "unbounded"."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    doc = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, NoiseReport) and obj.unbounded:
+        doc["n_max"] = "unbounded"
+    return doc
 
-    command: str
-    config: dict
-    seed: int | None
-    version: str
-    outputs: list
-    duration_s: float
 
-    def write(self, out_dir: Path) -> Path:
-        path = out_dir / "manifest.json"
-        path.write_text(json.dumps(asdict(self), indent=2) + "\n")
-        return path
+def _json(obj) -> str:
+    """The text of every JSON output: the result files, the manifest and qe's stdout."""
+    return json.dumps(obj, indent=2, default=_jsonable) + "\n"
+
+
+@contextmanager
+def _recorded(args, command: str, doc, seed):
+    """Make the output directory and yield `output(name)`, which lists the
+    data file `name` there and returns its path.  A normal exit (exit code 4
+    too) writes manifest.json, which records the listed files; a raised
+    refusal writes none."""
+    out = Path(args.out_dir or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = []
+    t0 = time.monotonic()
+
+    def output(name: str) -> Path:
+        outputs.append(str(out / name))
+        return out / name
+
+    yield output
+    (out / "manifest.json").write_text(_json({
+        "command": command, "config": doc, "seed": seed, "version": __version__,
+        "outputs": outputs, "duration_s": time.monotonic() - t0}))
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +148,13 @@ def _init_model(doc, constraint: Constraint) -> MixtureModel:
                                         constraint_kind=constraint, poisson_mu=init.get("mu"))
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir) if args.out_dir else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each builds its configs, then runs its stages inside `_recorded`
 # ---------------------------------------------------------------------------
 
 def _build_sim_config(doc, seed_override, context: str) -> SimConfig:
@@ -147,27 +162,6 @@ def _build_sim_config(doc, seed_override, context: str) -> SimConfig:
     model = _from_json(DetectorModel, doc["model"], f"{context}.model")
     seed = {} if seed_override is None else {"seed": seed_override}
     return _from_json(SimConfig, doc, context, model=model, **seed)
-
-
-def _run_simulate(cfg: SimConfig, args) -> tuple:
-    records, hist = run(cfg, workers=args.workers)
-    out = _out_dir(args)
-    pulses_path = out / "pulses.csv"
-    hist_path = out / "histogram.csv"
-    write_pulses_csv(pulses_path, records)
-    write_histogram_csv(hist_path, hist)
-    _say(args, f"simulated {cfg.n_pulses} pulses -> {pulses_path}, {hist_path}")
-    return hist, [str(pulses_path), str(hist_path)]
-
-
-def cmd_simulate(args) -> int:
-    doc = _load_json(args.config)
-    cfg = _build_sim_config(doc, args.seed, "config")
-    t0 = time.monotonic()
-    _, outputs = _run_simulate(cfg, args)
-    RunManifest("simulate", doc, cfg.seed, __version__, outputs,
-                time.monotonic() - t0).write(_out_dir(args))
-    return 0
 
 
 def _build_fit_config(doc, context: str) -> FitConfig:
@@ -178,14 +172,23 @@ def _build_fit_config(doc, context: str) -> FitConfig:
     return _from_json(FitConfig, doc, context, constraint=constraint, init=init)
 
 
-def _write_fit_outputs(report, hist, out: Path, args) -> list:
-    report_path = out / "fit_report.json"
-    report_path.write_text(json.dumps(report_to_json(report), indent=2) + "\n")
-    curve_path = out / "fit_curve.csv"
+def _simulate(cfg: SimConfig, args, output) -> Histogram:
+    records, hist = run(cfg, workers=args.workers)
+    pulses_path, hist_path = output("pulses.csv"), output("histogram.csv")
+    write_pulses_csv(pulses_path, records)
+    write_histogram_csv(hist_path, hist)
+    _say(args, f"simulated {cfg.n_pulses} pulses -> {pulses_path}, {hist_path}")
+    return hist
+
+
+def _fit(hist: Histogram, cfg: FitConfig, args, output) -> FitReport:
+    report = fit_spectrum(hist, cfg)
+    report_path = output("fit_report.json")
+    report_path.write_text(_json(report_to_json(report)))
     per_peak, total_curve = expected_counts(report.model, hist.bin_edges,
                                             float(hist.counts.sum()))
     k = report.model.n_peaks
-    write_table(curve_path,
+    write_table(output("fit_curve.csv"),
                 "bin_center,count," + "".join(f"peak_{i}," for i in range(k)) + "model_total",
                 "{:.10g},{}" + ",{:.10g}" * (k + 1),
                 hist.centers, hist.counts, *per_peak, total_curve)
@@ -193,63 +196,54 @@ def _write_fit_outputs(report, hist, out: Path, args) -> list:
          f"after {report.iterations} iterations -> {report_path}")
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return [str(report_path), str(curve_path)]
+    return report
+
+
+def _analyze(report: FitReport, args, output) -> None:
+    model = report.model
+    k = model.n_peaks
+    noise_report = variance_law(model.peaks)     # refuses fewer than 3 peaks
+    scheme = build_scheme(model, "equal")
+    analysis_path = output("analysis.json")
+    analysis_path.write_text(_json({"decision_scheme": scheme,
+                                    "confusion": confusion(model, [1.0 / k] * k),
+                                    "noise": noise_report}))
+
+    n = np.arange(k)
+    write_table(output("errors_vs_n.csv"), "n,error", "{},{:.10g}", n, scheme.error_per_number)
+
+    std = model.std_devs()
+    var = std ** 2
+    # the regression's v_elec is var[0]: row 0 alone sets it
+    components = (var[0], noise_report.sigma_0_sq, noise_report.sigma_m_sq)
+    law = (_variance_parts(k) * components).sum(axis=1)
+    write_table(output("variance_vs_n.csv"), "n,std_dev,variance,law_variance",
+                "{},{:.10g},{:.10g},{:.10g}", n, std, var, law)
+    _say(args, f"analysis -> {analysis_path}")
+
+
+def cmd_simulate(args) -> int:
+    doc = _load_json(args.config)
+    cfg = _build_sim_config(doc, args.seed, "config")
+    with _recorded(args, "simulate", doc, cfg.seed) as output:
+        _simulate(cfg, args, output)
+    return 0
 
 
 def cmd_fit(args) -> int:
     hist = read_histogram_csv(args.histogram)
     doc = _load_json(args.fit_config)
     cfg = _build_fit_config(doc, "fit config")
-    t0 = time.monotonic()
-    report = fit_spectrum(hist, cfg)
-    out = _out_dir(args)
-    outputs = _write_fit_outputs(report, hist, out, args)
-    RunManifest("fit", doc, args.seed, __version__, outputs,
-                time.monotonic() - t0).write(out)
+    with _recorded(args, "fit", doc, args.seed) as output:
+        report = _fit(hist, cfg, args, output)
     return 0 if report.converged else 4
-
-
-def _write_analysis(report, out: Path, args) -> list:
-    model = report.model
-    if model.n_peaks < 3:
-        raise ConfigError(f"analysis needs at least 3 peaks, report has {model.n_peaks}")
-    scheme = build_scheme(model, "equal")
-    k = model.n_peaks
-    cm = confusion(model, [1.0 / k] * k)
-    noise_report = variance_law(model.peaks)
-
-    analysis_path = out / "analysis.json"
-    analysis_path.write_text(json.dumps({
-        "decision_scheme": scheme_to_json(scheme),
-        "confusion": confusion_to_json(cm),
-        "noise": noise_report_to_json(noise_report),
-    }, indent=2) + "\n")
-
-    n = np.arange(k)
-    errors_path = out / "errors_vs_n.csv"
-    write_table(errors_path, "n,error", "{},{:.10g}", n, scheme.error_per_number)
-
-    variance_path = out / "variance_vs_n.csv"
-    std = model.std_devs()
-    var = std ** 2
-    # the regression's v_elec is var[0]: row 0 alone sets it
-    components = (var[0], noise_report.sigma_0_sq, noise_report.sigma_m_sq)
-    law = (_variance_parts(k) * components).sum(axis=1)
-    write_table(variance_path, "n,std_dev,variance,law_variance", "{},{:.10g},{:.10g},{:.10g}",
-                n, std, var, law)
-
-    _say(args, f"analysis -> {analysis_path}")
-    return [str(analysis_path), str(errors_path), str(variance_path)]
 
 
 def cmd_analyze(args) -> int:
     doc = _load_json(args.fit_report)
     report = report_from_json(doc)
-    t0 = time.monotonic()
-    out = _out_dir(args)
-    outputs = _write_analysis(report, out, args)
-    RunManifest("analyze", doc, args.seed, __version__, outputs,
-                time.monotonic() - t0).write(out)
+    with _recorded(args, "analyze", doc, args.seed) as output:
+        _analyze(report, args, output)
     return 0
 
 
@@ -258,7 +252,7 @@ def cmd_qe(args) -> int:
     inp = _from_json(EfficiencyInput, _load_json(args.config), "config", rename={
         "wavelength": "wavelength_m", "power": "power_w", "counts": "counts_per_s",
         "dark_counts": "dark_counts_per_s"})
-    print(json.dumps(efficiency_to_json(measured_efficiency(inp)), indent=2))
+    sys.stdout.write(_json(measured_efficiency(inp)))
     return 0
 
 
@@ -267,20 +261,13 @@ def cmd_pipeline(args) -> int:
     _read(doc, "config", (), ("simulate", "fit"))
     cfg = _build_sim_config(doc["simulate"], args.seed, "simulate")
     fit_cfg = _build_fit_config(doc["fit"], "fit")
-    t0 = time.monotonic()
-    hist, outputs = _run_simulate(cfg, args)
-    report = fit_spectrum(hist, fit_cfg)
-    out = _out_dir(args)
-    outputs += _write_fit_outputs(report, hist, out, args)
-    code = 0
-    if report.converged:
-        outputs += _write_analysis(report, out, args)
-    else:
-        print("warning: fit did not converge; skipping analysis", file=sys.stderr)
-        code = 4
-    RunManifest("pipeline", doc, cfg.seed, __version__, outputs,
-                time.monotonic() - t0).write(out)
-    return code
+    with _recorded(args, "pipeline", doc, cfg.seed) as output:
+        report = _fit(_simulate(cfg, args, output), fit_cfg, args, output)
+        if report.converged:
+            _analyze(report, args, output)
+        else:
+            print("warning: fit did not converge; skipping analysis", file=sys.stderr)
+    return 0 if report.converged else 4
 
 
 # ---------------------------------------------------------------------------

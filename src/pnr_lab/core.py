@@ -137,13 +137,26 @@ def _std_normal_cdf_pdf(z):
     return cdf.reshape(z.shape), (e / _SQRT2PI).reshape(z.shape)
 
 
-def _whole(name: str, value) -> int:
+def _finite(name: str, value, above=None) -> None:
+    """Refuse `value` unless it is a finite real number, and above `above` when
+    that is given.  JSON's NaN and Infinity, which Python's reader accepts,
+    are refused."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and (above is None or value > above)):
+        bound = "" if above is None else f" > {above}"
+        raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+
+
+def _whole(name: str, value, least=None) -> int:
     """`value` as an int: an int, or a float with no fractional part (JSON may
-    write 1e5).  Bools, fractions and non-numbers are refused."""
+    write 1e5), and at least `least` when that is given.  Bools, fractions and
+    non-numbers are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)):
         raise TypeError(f"{name} must be a whole number, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {int(value)}")
     return int(value)
 
 
@@ -226,9 +239,8 @@ class DetectorModel:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "cell_count" and not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if f.name != "cell_count":
+                _finite(f.name, getattr(self, f.name))
         if not 0.0 <= self.quantum_efficiency <= 1.0:
             raise ValueError(f"quantum_efficiency must lie in [0, 1], got {self.quantum_efficiency}")
         if self.mean_photon_number < 0:
@@ -241,9 +253,7 @@ class DetectorModel:
         if self.dark_rate_per_gate < 0:
             raise ValueError("dark_rate_per_gate must be >= 0")
         if self.cell_count is not None:
-            object.__setattr__(self, "cell_count", _whole("cell_count", self.cell_count))
-            if self.cell_count < 1:
-                raise ValueError(f"cell_count must be a positive integer or None, got {self.cell_count}")
+            object.__setattr__(self, "cell_count", _whole("cell_count", self.cell_count, 1))
 
 
 @dataclass(frozen=True)

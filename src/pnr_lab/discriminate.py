@@ -25,8 +25,6 @@ __all__ = [
     "classify",
     "one_vs_many_error",
     "confusion",
-    "scheme_to_json",
-    "confusion_to_json",
 ]
 
 class NoIntersectionError(ValueError):
@@ -217,18 +215,3 @@ def confusion(model: MixtureModel, priors) -> ConfusionMatrix:
     _, _, mass = _cuts_and_mass(model, "equal")
     return ConfusionMatrix(mass, tuple(_checked_priors(priors, model.n_peaks)))
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def scheme_to_json(scheme: DecisionScheme) -> dict:
-    return {
-        "thresholds": list(scheme.thresholds),
-        "priors": list(scheme.priors),
-        "error_per_number": list(scheme.error_per_number),
-    }
-
-
-def confusion_to_json(cm: ConfusionMatrix) -> dict:
-    return {"matrix": cm.matrix.tolist(), "priors": list(cm.priors)}

@@ -26,14 +26,13 @@ bin, and the variance components reach it by the chain rule.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Constraint, Histogram, MixtureModel, _log_factorials, _normalized_exp,
-                   _poisson_log_pmf, _std_normal_cdf_pdf, _variance_components,
-                   _variance_parts, _whole)
+from .core import (Constraint, Histogram, MixtureModel, _finite, _log_factorials,
+                   _normalized_exp, _poisson_log_pmf, _std_normal_cdf_pdf,
+                   _variance_components, _variance_parts, _whole)
 
 __all__ = [
     "FitConfig",
@@ -55,6 +54,11 @@ class FitSetupError(ValueError):
     """The histogram or configuration cannot support the requested fit."""
 
 
+def _peak_count(n_peaks):
+    """"auto", or a whole number >= 2: one peak defines no ladder spacing."""
+    return n_peaks if n_peaks == "auto" else _whole("n_peaks", n_peaks, 2)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     n_peaks: int | str = "auto"
@@ -64,16 +68,10 @@ class FitConfig:
     init: MixtureModel | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.tolerance, numbers.Real) and math.isfinite(self.tolerance)
-                and self.tolerance > 0):
-            raise ValueError(f"tolerance must be a finite number > 0, got {self.tolerance!r}")
-        if self.n_peaks != "auto":
-            object.__setattr__(self, "n_peaks", _whole("n_peaks", self.n_peaks))
-            if self.n_peaks < 2:
-                raise ValueError("n_peaks must be >= 2")
-        object.__setattr__(self, "max_iterations", _whole("max_iterations", self.max_iterations))
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        _finite("tolerance", self.tolerance, above=0)
+        object.__setattr__(self, "n_peaks", _peak_count(self.n_peaks))
+        object.__setattr__(self, "max_iterations",
+                           _whole("max_iterations", self.max_iterations, 1))
 
 
 @dataclass(frozen=True)
@@ -95,10 +93,12 @@ def init_guess(hist: Histogram, n_peaks="auto") -> MixtureModel:
     Prominent local maxima of the 5-bin moving average locate the ladder:
     x0 sits on the first maximum, the spacing is the median gap between
     successive maxima, all sigmas start at spacing/4, and weights are the
-    count mass between region midpoints.  With n_peaks="auto" the model gets
-    two more peaks than maxima found (weak high-number peaks rarely clear
-    the prominence cut).
+    count mass between region midpoints.  `n_peaks` follows FitConfig's rule
+    ("auto" or a whole number >= 2); with "auto" the model gets two more
+    peaks than maxima found (weak high-number peaks rarely clear the
+    prominence cut).
     """
+    k = _peak_count(n_peaks)
     counts = hist.counts.astype(float)
     if len(counts) < 3:
         raise FitSetupError("histogram has too few bins for an automatic guess")
@@ -131,7 +131,7 @@ def init_guess(hist: Histogram, n_peaks="auto") -> MixtureModel:
     centers = hist.centers[prominent]
     x0 = float(centers[0])
     spacing = float(np.median(np.diff(centers)))
-    k = len(prominent) + 2 if n_peaks == "auto" else _whole("n_peaks", n_peaks)
+    k = len(prominent) + 2 if k == "auto" else k
 
     # mass between midpoints of the guessed ladder -> starting weights
     ladder = x0 + spacing * np.arange(k)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianPeak, NoiseReport, _variance_components
+from .core import GaussianPeak, NoiseReport, _finite, _variance_components
 
 __all__ = [
     "PLANCK_H",
@@ -32,8 +32,6 @@ __all__ = [
     "variance_law",
     "excess_noise_factor",
     "n_max",
-    "noise_report_to_json",
-    "efficiency_to_json",
 ]
 
 # CODATA exact values (SI definition constants)
@@ -66,6 +64,8 @@ class EfficiencyInput:
     loss_factors: tuple = ()     # each in (0, 1]
 
     def __post_init__(self):
+        for name in ("wavelength", "power", "counts", "dark_counts"):
+            _finite(name, getattr(self, name))
         if self.wavelength <= 0:
             raise ValueError("wavelength must be > 0")
         if self.power < 0:
@@ -167,24 +167,3 @@ def variance_law(peaks) -> NoiseReport:
     return NoiseReport(sigma_m_sq=float(v_m), sigma_0_sq=float(v_0), enf=enf,
                        n_max=n_max(max(enf, 1.0)), regression_residual=resid)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def noise_report_to_json(report: NoiseReport) -> dict:
-    return {
-        "sigma_m_sq": report.sigma_m_sq,
-        "sigma_0_sq": report.sigma_0_sq,
-        "enf": report.enf,
-        "n_max": "unbounded" if report.unbounded else report.n_max,
-        "regression_residual": report.regression_residual,
-    }
-
-
-def efficiency_to_json(result: EfficiencyResult) -> dict:
-    return {
-        "raw": result.raw,
-        "intrinsic": result.intrinsic,
-        "calibration_suspect": result.calibration_suspect,
-    }

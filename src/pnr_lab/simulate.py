@@ -76,10 +76,8 @@ class SimConfig:
     bin_width: float | str = "auto"   # "auto" = gain/12
 
     def __post_init__(self):
-        object.__setattr__(self, "n_pulses", _whole("n_pulses", self.n_pulses))
+        object.__setattr__(self, "n_pulses", _whole("n_pulses", self.n_pulses, 1))
         object.__setattr__(self, "seed", _whole("seed", self.seed))
-        if self.n_pulses < 1:
-            raise ValueError("n_pulses must be >= 1")
         if self.n_pulses > MAX_PULSES:
             raise CapacityError(
                 f"n_pulses={self.n_pulses} exceeds the storage budget of {MAX_PULSES}")

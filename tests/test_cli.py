@@ -14,10 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnr_lab import (FitConfig, Histogram, __version__, build_scheme, expected_counts,
-                     fit_spectrum, photon_flux, read_histogram_csv, variance_law,
-                     write_histogram_csv)
-from pnr_lab.cli import main
+from pnr_lab import (EfficiencyInput, FitConfig, Histogram, MixtureModel, __version__,
+                     build_scheme, confusion, expected_counts, fit_spectrum,
+                     measured_efficiency, photon_flux, read_histogram_csv, report_to_json,
+                     variance_law, write_histogram_csv)
+from pnr_lab.cli import _json, main
+
+from conftest import REF_MULT_VAR, law_stds
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SIM_MODEL = {
@@ -118,15 +121,27 @@ def test_simulate_fractional_integer_field_exit_2(tmp_path, capsys, field, value
     assert not (tmp_path / "o" / "pulses.csv").exists()
 
 
-@pytest.mark.parametrize("field", ["n_pulses", "seed", "quantum_efficiency", "cell_count",
-                                   "power_w"])
-def test_simulate_boolean_number_exit_2(tmp_path, capsys, field):
+# qe's readings, like the detector model, refuse the NaN and Infinity that
+# Python's JSON reader accepts: NaN once printed the invalid JSON "raw": NaN
+QE_NON_FINITE = [("wavelength_m", "wavelength", math.nan),
+                 ("wavelength_m", "wavelength", math.inf),
+                 ("power_w", "power", -math.inf), ("counts_per_s", "counts", math.nan),
+                 ("dark_counts_per_s", "dark_counts", math.inf)]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    *[pytest.param(field, True, f"{field} must be a number, got true", id=field)
+      for field in ("n_pulses", "seed", "quantum_efficiency", "cell_count", "power_w")],
+    *[pytest.param(key, value, f"{name} must be a finite number, got {value!r}",
+                   id=f"{key}-{value!r}") for key, name, value in QE_NON_FINITE]])
+def test_simulate_boolean_number_exit_2(tmp_path, capsys, field, value, message):
     sim = {"model": dict(SIM_MODEL), "n_pulses": 2000, "seed": 16}
     command, doc = ("qe", dict(QE_DOC)) if field in QE_DOC else ("simulate", sim)
-    (doc if field in doc else doc["model"])[field] = True
+    (doc if field in doc else doc["model"])[field] = value
     cfg = write_config(tmp_path / "bool.json", doc)
     assert main([command, cfg, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
-    assert f"{field} must be a number, got true" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
     assert not (tmp_path / "o" / "pulses.csv").exists()
 
 
@@ -273,9 +288,10 @@ def test_fit_nonconvergence_exit_4(tmp_path, sim_config):
     fit_out = tmp_path / "fit"
     assert main(["fit", str(out / "histogram.csv"), fit_cfg,
                  "--out-dir", str(fit_out), "--quiet"]) == 4
-    # the report is still written, flagged as not converged
+    # the report is still written, flagged as not converged, and so is the manifest
     report = json.loads((fit_out / "fit_report.json").read_text())
     assert report["converged"] is False
+    assert json.loads((fit_out / "manifest.json").read_text())["command"] == "fit"
 
 
 def test_fit_empty_histogram_exit_2(tmp_path, capsys):
@@ -319,6 +335,8 @@ def test_analyze_too_few_peaks_exit_2(tmp_path, capsys):
     assert main(["analyze", path, "--out-dir", str(tmp_path / "o"),
                  "--quiet"]) == 2
     assert "3 peaks" in capsys.readouterr().err
+    # a refused run writes no manifest
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("field, value", [("objective", None), ("warnings", 5)])
@@ -396,6 +414,9 @@ def test_pipeline_nonconvergence_skips_analysis(tmp_path):
     assert main(["pipeline", cfg, "--out-dir", str(out), "--quiet"]) == 4
     assert (out / "fit_report.json").exists()
     assert not (out / "analysis.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [p.rsplit("/", 1)[-1] for p in manifest["outputs"]] == [
+        "pulses.csv", "histogram.csv", "fit_report.json", "fit_curve.csv"]
 
 
 @pytest.mark.parametrize("config", ["shipped", "pipeline.json"])
@@ -450,6 +471,105 @@ def test_pipeline_tables_match_row_loop_oracle(tmp_path):
     assert report.converged and report.model.n_peaks >= 7
     for name, text in _tables_by_row_loops(report.model, hist).items():
         assert (out / name).read_bytes() == text.encode(), name
+
+
+# ---------------------------------------------------------------- JSON writer
+
+def test_scheme_json_round_trip(catalog_model):
+    sch = build_scheme(catalog_model, "equal")
+    doc = json.loads(_json(sch))
+    assert list(doc) == ["thresholds", "priors", "error_per_number"]
+    assert doc["thresholds"] == list(sch.thresholds)
+    assert doc["priors"] == list(sch.priors)
+    assert doc["error_per_number"] == list(sch.error_per_number)
+
+
+def test_confusion_serializers(catalog_model):
+    cm = confusion(catalog_model, np.full(7, 1 / 7))
+    doc = json.loads(_json(cm))
+    assert list(doc) == ["matrix", "priors"]
+    assert doc["matrix"] == cm.matrix.tolist()
+    assert doc["priors"] == list(cm.priors)
+
+
+def _equal_weight_peaks(means, stds):
+    return MixtureModel.from_peaks(means, stds, np.full(len(means), 1 / len(means))).peaks
+
+
+def test_noise_report_json(tmp_path):
+    rep = variance_law(_equal_weight_peaks([135.0 * i for i in range(7)], law_stds(7)))
+    doc = json.loads(_json(rep))
+    assert doc["sigma_m_sq"] == pytest.approx(REF_MULT_VAR, rel=1e-12)
+    assert doc["enf"] == rep.enf
+    assert doc["n_max"] == rep.n_max
+    flat = variance_law(_equal_weight_peaks([0.0, 100.0, 200.0], [9.0, 9.0, 9.0]))
+    assert json.loads(_json(flat))["n_max"] == "unbounded"
+    # and through analyze, from a flat-width 3-peak fit report
+    report = write_config(tmp_path / "report.json", {
+        "constraint": "free", "objective": 1.0, "converged": True, "iterations": 3,
+        "peaks": [{"i": i, "mean": 100.0 * i, "std": 9.0, "weight": 1 / 3} for i in range(3)]})
+    assert main(["analyze", report, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 0
+    noise = json.loads((tmp_path / "o" / "analysis.json").read_text())["noise"]
+    assert noise["n_max"] == "unbounded"
+
+
+def test_efficiency_json():
+    flux = photon_flux(543e-9, 2e-9)
+    res = measured_efficiency(EfficiencyInput(
+        wavelength=543e-9, power=2e-9, nd_transmission=1e-4, counts=0.85 * 1e-4 * flux,
+        dark_counts=0.0, loss_factors=(0.93, 0.99)))
+    doc = json.loads(_json(res))
+    assert doc == {"raw": res.raw, "intrinsic": res.intrinsic,
+                   "calibration_suspect": False}
+
+
+def test_json_outputs_match_dict_oracle(tmp_path, capsys):
+    """fit_report.json, analysis.json and qe's stdout are json.dumps(indent=2)
+    of dicts built by hand from the library results, byte for byte, and
+    manifest.json holds its six keys in order."""
+    cfg = write_config(tmp_path / "pipe.json", {
+        "simulate": {"model": SIM_MODEL, "n_pulses": 20_000, "seed": 3}, "fit": FIT_DOC})
+    out = tmp_path / "pipe"
+    assert main(["pipeline", cfg, "--out-dir", str(out), "--quiet"]) == 0
+    report = fit_spectrum(read_histogram_csv(out / "histogram.csv"), FitConfig(n_peaks=5))
+    assert report.converged
+    model = report.model
+    k = model.n_peaks
+    scheme = build_scheme(model, "equal")
+    cm = confusion(model, [1.0 / k] * k)
+    noise = variance_law(model.peaks)
+    analysis = {
+        "decision_scheme": {"thresholds": list(scheme.thresholds),
+                            "priors": list(scheme.priors),
+                            "error_per_number": list(scheme.error_per_number)},
+        "confusion": {"matrix": cm.matrix.tolist(), "priors": list(cm.priors)},
+        "noise": {"sigma_m_sq": noise.sigma_m_sq, "sigma_0_sq": noise.sigma_0_sq,
+                  "enf": noise.enf, "n_max": "unbounded" if noise.unbounded else noise.n_max,
+                  "regression_residual": noise.regression_residual},
+    }
+    assert (out / "analysis.json").read_text() == json.dumps(analysis, indent=2) + "\n"
+    assert (out / "fit_report.json").read_text() == \
+        json.dumps(report_to_json(report), indent=2) + "\n"
+
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest) == ["command", "config", "seed", "version", "outputs", "duration_s"]
+    assert manifest["command"] == "pipeline" and manifest["seed"] == 3
+    assert manifest["config"] == json.loads(Path(cfg).read_text())
+    assert manifest["version"] == __version__ and manifest["duration_s"] >= 0
+    assert manifest["outputs"] == [str(out / name) for name in (
+        "pulses.csv", "histogram.csv", "fit_report.json", "fit_curve.csv",
+        "analysis.json", "errors_vs_n.csv", "variance_vs_n.csv")]
+
+    qe = json.loads((CONFIGS / "qe.json").read_text())
+    res = measured_efficiency(EfficiencyInput(
+        wavelength=qe["wavelength_m"], power=qe["power_w"],
+        nd_transmission=qe["nd_transmission"], counts=qe["counts_per_s"],
+        dark_counts=qe["dark_counts_per_s"], loss_factors=qe["loss_factors"]))
+    capsys.readouterr()
+    assert main(["qe", str(CONFIGS / "qe.json")]) == 0
+    assert capsys.readouterr().out == json.dumps(
+        {"raw": res.raw, "intrinsic": res.intrinsic,
+         "calibration_suspect": res.calibration_suspect}, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------- entry points

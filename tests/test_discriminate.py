@@ -1,6 +1,5 @@
 """Decision thresholds, regions, error rates, confusion matrices."""
 
-import json
 import math
 
 import numpy as np
@@ -22,7 +21,6 @@ from pnr_lab import (
     run,
     threshold,
 )
-from pnr_lab.discriminate import confusion_to_json, scheme_to_json
 
 from conftest import REF_SAT, REF_SPACING, REF_X0, law_stds
 
@@ -319,18 +317,3 @@ def test_confusion_matrix_validation():
     # kept as given, not normalized: analysis.json publishes them
     assert confusion(model, [2, 2, 0, 0]).priors == (2.0, 2.0, 0.0, 0.0)
 
-
-# ---------------------------------------------------------------- serializers
-
-def test_scheme_json_round_trip(catalog_model):
-    sch = build_scheme(catalog_model, "equal")
-    doc = json.loads(json.dumps(scheme_to_json(sch)))
-    assert doc["thresholds"] == list(sch.thresholds)
-    assert doc["priors"] == list(sch.priors)
-    assert doc["error_per_number"] == list(sch.error_per_number)
-
-
-def test_confusion_serializers(catalog_model):
-    cm = confusion(catalog_model, np.full(7, 1 / 7))
-    doc = confusion_to_json(cm)
-    assert np.allclose(doc["matrix"], cm.matrix)

@@ -42,6 +42,10 @@ def test_init_guess_two_clean_peaks():
     assert np.allclose(g.weights(), [0.5, 0.5], atol=0.03)
     with pytest.raises(ValueError, match="n_peaks must be a whole number"):
         init_guess(h, 5.7)
+    # FitConfig's peak-count rule: one peak defines no ladder spacing
+    for bad in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"n_peaks must be >= 2, got {bad}"):
+            init_guess(h, bad)
 
 
 def test_init_guess_auto_is_maxima_plus_two():

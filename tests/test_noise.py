@@ -1,6 +1,5 @@
 """Figures of merit: flux, efficiency, excess noise factor, variance law."""
 
-import json
 import math
 
 import numpy as np
@@ -20,12 +19,7 @@ from pnr_lab import (
     photon_flux,
     variance_law,
 )
-from pnr_lab.noise import (
-    PLANCK_H,
-    SPEED_OF_LIGHT,
-    efficiency_to_json,
-    noise_report_to_json,
-)
+from pnr_lab.noise import PLANCK_H, SPEED_OF_LIGHT
 
 from conftest import (
     CATALOG_MEANS,
@@ -259,24 +253,3 @@ def test_variance_law_type_check():
     with pytest.raises(TypeError):
         variance_law([(0, 10.6), (1, 24.8), (2, 31.7)])
 
-
-# ---------------------------------------------------------------- serializers
-
-def test_noise_report_json():
-    means = [135.0 * i for i in range(7)]
-    rep = variance_law(peaks_from(means, law_stds(7)))
-    doc = json.loads(json.dumps(noise_report_to_json(rep)))
-    assert doc["sigma_m_sq"] == pytest.approx(REF_MULT_VAR, rel=1e-12)
-    assert doc["enf"] == rep.enf
-    assert doc["n_max"] == rep.n_max
-    flat = variance_law(peaks_from([0.0, 100.0, 200.0], [9.0, 9.0, 9.0]))
-    assert noise_report_to_json(flat)["n_max"] == "unbounded"
-
-
-def test_efficiency_json():
-    flux = photon_flux(543e-9, 2e-9)
-    res = measured_efficiency(_effin(counts=0.85 * 1e-4 * flux,
-                                     loss_factors=(0.93, 0.99)))
-    doc = efficiency_to_json(res)
-    assert doc == {"raw": res.raw, "intrinsic": res.intrinsic,
-                   "calibration_suspect": False}
