@@ -20,10 +20,13 @@ are used.
 
 from __future__ import annotations
 
-import itertools
 import math
+import os
+import re
+import stat
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,8 +191,12 @@ def histogram_from_areas(areas: np.ndarray, bin_width: float) -> Histogram:
         raise ValueError("cannot histogram zero pulses")
     if bin_width <= 0:
         raise ValueError("bin_width must be > 0")
-    lo = math.floor(areas.min() / bin_width) * bin_width
-    n_bins = int(math.floor((areas.max() - lo) / bin_width)) + 1
+    low, high = areas.min(), areas.max()
+    if not (math.isfinite(low) and math.isfinite(high)):
+        n_bad = np.count_nonzero(~np.isfinite(areas))
+        raise ValueError(f"cannot histogram non-finite areas: {n_bad} of {len(areas)}")
+    lo = math.floor(low / bin_width) * bin_width
+    n_bins = int(math.floor((high - lo) / bin_width)) + 1
     edges = lo + bin_width * np.arange(n_bins + 1)
     counts, _ = np.histogram(areas, bins=edges)
     return Histogram(edges, counts.astype(np.int64), total_pulses=len(areas))
@@ -222,12 +229,11 @@ def write_pulses_csv(path, records: np.ndarray) -> None:
 
 
 def read_pulses_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        _check_version(fh, path)
+    with _open_table(path) as fh:
         header = fh.readline().strip()
         if header != "true_incident,true_detected,area":
             raise FormatError(f"{path}: unexpected pulse CSV header {header!r}")
-        return _read_rows(fh, path, PULSE_DTYPE)
+        return _read_rows(fh, path, PULSE_DTYPE, skiprows=2)
 
 
 def write_histogram_csv(path, hist: Histogram) -> None:
@@ -238,22 +244,20 @@ def write_histogram_csv(path, hist: Histogram) -> None:
 
 def read_histogram_csv(path) -> Histogram:
     meta = {"total_pulses": None, "underflow": 0, "overflow": 0}
-    with open(path) as fh:
-        _check_version(fh, path)
+    with _open_table(path) as fh:
+        skiprows = 2  # the version line and the column header
         line = fh.readline()
         while line.startswith("#"):
+            skiprows += 1
             for part in line[1:].split():
                 if "=" in part:
                     key, _, val = part.partition("=")
                     if key in meta:
-                        try:
-                            meta[key] = int(val)
-                        except ValueError:
-                            raise FormatError(f"{path}: bad {key} value {val!r}") from None
+                        meta[key] = _count(path, key, val)
             line = fh.readline()
         if line.strip() != "bin_left,bin_right,count":
             raise FormatError(f"{path}: unexpected histogram CSV header {line.strip()!r}")
-        rows = _read_rows(fh, path, _HISTOGRAM_DTYPE)
+        rows = _read_rows(fh, path, _HISTOGRAM_DTYPE, skiprows)
     if len(rows) == 0:
         raise FormatError(f"{path}: histogram has no bins")
     lefts, rights = rows["bin_left"], rows["bin_right"]
@@ -272,16 +276,20 @@ def read_histogram_csv(path) -> Histogram:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _read_rows(fh, path, dtype) -> np.ndarray:
-    """Parse the rest of `fh` as comma-separated rows of `dtype` in one
-    np.loadtxt call.  Blank lines are skipped; any other malformed row
-    (wrong field count, unparsable or out-of-range value, a '#' line) is a
-    FormatError naming the file."""
-    rows = (line for line in fh if line.strip())
-    first = next(rows, None)
-    if first is None:
-        # np.loadtxt warns on empty input; an empty body is valid here
-        return np.empty(0, dtype)
+def _read_rows(fh, path, dtype, skiprows) -> np.ndarray:
+    """Parse the body of a table as comma-separated rows of `dtype`.
+
+    numpy's C reader parses the file at `path` in chunks, skipping the
+    `skiprows` lines the caller has read from `fh`, when `path` still names
+    the regular file `fh` reads: a pipe reopened would lose what `fh` has
+    buffered, and a file replaced since would not be the one whose header
+    was checked.  Otherwise, or if it refuses, the rest of `fh` goes through
+    np.loadtxt line by line, with blank lines dropped: that pass reads the
+    whitespace-only lines the C reader cannot, and gives every error its
+    message.  A malformed row (wrong field count, unparsable or out-of-range
+    value, a '#' line) is a FormatError naming the file.  An empty body is an
+    empty array."""
+    options = dict(delimiter=",", dtype=dtype, comments=None, ndmin=1)
     try:
         with warnings.catch_warnings():
             # numpy releases that still carry the 1.23 deprecation parse a
@@ -290,15 +298,42 @@ def _read_rows(fh, path, dtype) -> np.ndarray:
             # loadtxt raise ValueError, so such a count is refused whatever
             # the caller's warning filters are
             warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(itertools.chain((first,), rows), delimiter=",", dtype=dtype,
-                              comments=None, ndmin=1)
+            # on an empty body loadtxt warns and returns an empty array
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                st = os.fstat(fh.fileno())
+                if stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.stat(path)):
+                    return np.loadtxt(os.fsdecode(path), skiprows=skiprows, **options)
+            except Exception:
+                # the C pass is only a fast path: whatever it refuses (a bad
+                # row, a file descriptor, a .gz/.bz2/.xz name numpy would
+                # decompress) the line pass reads or words the error for
+                pass
+            return np.loadtxt((line for line in fh if line.strip()), **options)
     except ValueError as exc:
         raise FormatError(f"{path}: bad row: {exc}") from None
 
 
-def _check_version(fh, path) -> None:
-    first = fh.readline().strip()
-    if first != CSV_VERSION:
-        raise FormatError(
-            f"{path}: missing or unsupported version header (expected {CSV_VERSION!r}, "
-            f"got {first!r})")
+def _count(path, key, text) -> int:
+    """A histogram metadata value, read by the rule for a count row: an
+    optional sign and ASCII digits, within int64."""
+    value = int(text) if re.fullmatch(r"[+-]?[0-9]+", text) else None
+    if value is None or not -2**63 <= value < 2**63:
+        raise FormatError(f"{path}: bad {key} value {text!r}")
+    return value
+
+
+@contextmanager
+def _open_table(path):
+    """Open a table and check its version line.  Bytes that do not decode
+    as text, such as a gzip-compressed file, are a FormatError."""
+    try:
+        with open(path) as fh:
+            first = fh.readline().strip()
+            if first != CSV_VERSION:
+                raise FormatError(
+                    f"{path}: missing or unsupported version header (expected "
+                    f"{CSV_VERSION!r}, got {first!r})")
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a text file: {exc}") from None

@@ -1,6 +1,9 @@
+import gzip
 import math
+import os
 import re
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from pnr_lab import (CapacityError, DetectorModel, FormatError, SimConfig,
                      histogram_from_areas, read_histogram_csv, read_pulses_csv,
                      run, write_histogram_csv, write_pulses_csv)
+from pnr_lab import simulate
 from pnr_lab.simulate import CHUNK_PULSES, MAX_PULSES, PULSE_DTYPE
 
 
@@ -147,6 +151,19 @@ def test_histogram_counts_every_area_once():
     assert h.total_pulses == 10_000
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_histogram_refuses_non_finite_areas(tmp_path, bad):
+    # the pulse reader round-trips non-finite areas; binning them is refused
+    # with a ValueError that counts them, not an OverflowError from int()
+    recs = np.zeros(5, dtype=PULSE_DTYPE)
+    recs["area"] = [1.0, bad, 3.0, bad, 5.0]
+    p = tmp_path / "pulses.csv"
+    write_pulses_csv(p, recs)
+    areas = read_pulses_csv(p)["area"]
+    with pytest.raises(ValueError, match=r"^cannot histogram non-finite areas: 2 of 5$"):
+        histogram_from_areas(areas, 1.0)
+
+
 def test_auto_bin_width_tracks_gain():
     cfg = SimConfig(model=plain_model(gain_per_photon=120.0), n_pulses=100,
                     seed=2)
@@ -163,12 +180,29 @@ def test_capacity_guard():
 
 # ---------------------------------------------------------------- CSV round trips
 
-def test_pulse_csv_round_trip(tmp_path):
+def spy_loadtxt(monkeypatch, refuse_path=False):
+    """Record which pass each np.loadtxt call is: "path" for numpy's C reader
+    over the file, "lines" for the line-by-line pass over the open handle."""
+    real, passes = np.loadtxt, []
+
+    def spy(source, **kwargs):
+        passes.append("path" if isinstance(source, str) else "lines")
+        if refuse_path and isinstance(source, str):
+            raise ValueError("path pass refused by the test")
+        return real(source, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return passes
+
+
+def test_pulse_csv_round_trip(tmp_path, monkeypatch):
     cfg = SimConfig(model=plain_model(), n_pulses=3000, seed=44)
     recs, _ = run(cfg)
     p = tmp_path / "pulses.csv"
     write_pulses_csv(p, recs)
+    passes = spy_loadtxt(monkeypatch)
     back = read_pulses_csv(p)
+    assert passes == ["path"]
     assert np.array_equal(back["true_incident"], recs["true_incident"])
     assert np.array_equal(back["true_detected"], recs["true_detected"])
     assert np.array_equal(back["area"].view(np.int64), recs["area"].view(np.int64))
@@ -227,10 +261,13 @@ def test_pulse_csv_malformed_row_is_format_error(tmp_path, body):
         read_pulses_csv(p)
 
 
-def test_pulse_csv_skips_blank_lines(tmp_path):
+def test_pulse_csv_skips_blank_lines(tmp_path, monkeypatch):
     p = tmp_path / "blank.csv"
     p.write_text(PULSE_HEAD + "\n1,2,100.5\n   \n\t\n3,3,-0.0\n\n")
+    passes = spy_loadtxt(monkeypatch)
     back = read_pulses_csv(p)
+    # the C reader refuses whitespace-only lines; the line pass drops them
+    assert passes == ["path", "lines"]
     assert back["true_incident"].tolist() == [1, 3]
     assert back["true_detected"].tolist() == [2, 3]
     assert back["area"].tolist() == [100.5, -0.0]
@@ -260,8 +297,12 @@ def test_pulse_csv_header_only_is_empty_without_warning(tmp_path):
     "bin_left,bin_right,count\n0.0,1.0,4\n1.0,2.0,5\n",
     "# pnr-lab v1\n# total_pulses=9 underflow=50\n"
     "bin_left,bin_right,count\n0.0,1.0,4\n1.0,2.0,5\n",
+    "# pnr-lab v1\n# total_pulses=1_0\nbin_left,bin_right,count\n0.0,1.0,4\n1.0,2.0,5\n",
+    "# pnr-lab v1\n# total_pulses=99999999999999999999\n"
+    "bin_left,bin_right,count\n0.0,1.0,4\n1.0,2.0,5\n",
 ], ids=["bad_meta_value", "bad_count", "fractional_count", "beyond_int64", "two_fields",
-        "no_bins", "negative_count", "negative_underflow", "tallies_exceed_total"])
+        "no_bins", "negative_count", "negative_underflow", "tallies_exceed_total",
+        "underscore_meta_value", "meta_beyond_int64"])
 def test_histogram_csv_malformed_is_format_error(tmp_path, text):
     p = tmp_path / "bad.csv"
     p.write_text(text)
@@ -294,11 +335,133 @@ def test_integer_via_float_fallback_is_refused(tmp_path, monkeypatch, reader, he
         reader(p)
 
 
-def test_histogram_csv_round_trip(tmp_path):
+# ------------------------------------------------- one C pass, a line pass on refusal
+
+def table_bytes(table):
+    if isinstance(table, np.ndarray):
+        return table.tobytes()
+    return (table.bin_edges.tobytes(), table.counts.tobytes(),
+            table.total_pulses, table.underflow, table.overflow)
+
+
+HIST_COLUMNS = "bin_left,bin_right,count\n"
+HIST_HEAD = "# pnr-lab v1\n" + HIST_COLUMNS
+HIST_BODY = "0.0,1.5,4\n1.5,3.0,5\n3.0,4.5,0\n"
+
+
+@pytest.mark.parametrize("reader, text", [
+    (read_pulses_csv, PULSE_HEAD + "\n1,2,100.5\n\n3,3,-0.0\n4,0,5e-324\n\n"),
+    (read_pulses_csv, (PULSE_HEAD + "1,2,100.5\n\n3,3,-0.0\n").replace("\n", "\r\n")),
+    (read_pulses_csv, PULSE_HEAD + "1,2,nan\n3,3,inf\n4,4,-inf"),
+    (read_pulses_csv, PULSE_HEAD),
+    (read_histogram_csv, HIST_HEAD + HIST_BODY),
+    (read_histogram_csv, "# pnr-lab v1\n# total_pulses=12\n" + HIST_COLUMNS + HIST_BODY),
+    (read_histogram_csv, "# pnr-lab v1\n# total_pulses=12 underflow=1\n# overflow=2\n# note\n"
+                         + HIST_COLUMNS + HIST_BODY),
+    (read_histogram_csv, ("# pnr-lab v1\n# total_pulses=12\n# overflow=2\n"
+                          + HIST_COLUMNS + HIST_BODY).replace("\n", "\r\n")),
+], ids=["pulses_empty_lines", "pulses_crlf", "pulses_non_finite", "pulses_header_only",
+        "histogram_no_meta", "histogram_one_meta", "histogram_three_meta",
+        "histogram_crlf_two_meta"])
+def test_well_formed_tables_take_one_c_pass(tmp_path, monkeypatch, reader, text):
+    # a miscounted skiprows would make the C reader refuse every file and the
+    # line pass read it correctly, slowly: only the pass taken shows it
+    p = tmp_path / "table.csv"
+    p.write_bytes(text.encode())
+    passes = spy_loadtxt(monkeypatch)
+    fast = reader(p)
+    assert passes == ["path"]
+    # the line pass returns the same bits
+    monkeypatch.undo()
+    passes = spy_loadtxt(monkeypatch, refuse_path=True)
+    assert table_bytes(reader(p)) == table_bytes(fast)
+    assert passes == ["path", "lines"]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_compressed_suffix_on_plain_text_round_trips(tmp_path, monkeypatch, suffix):
+    # numpy would open these names through a decompressor; the readers do
+    # not interpret the suffix, and the line pass reads the plain text
+    recs, _ = run(SimConfig(model=plain_model(), n_pulses=300, seed=44))
+    p = tmp_path / f"pulses.csv{suffix}"
+    write_pulses_csv(p, recs)
+    passes = spy_loadtxt(monkeypatch)
+    assert read_pulses_csv(p).tobytes() == recs.tobytes()
+    assert passes == ["path", "lines"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pulse_csv_through_a_pipe_reads_every_row(tmp_path, monkeypatch):
+    # reopening a pipe would find only what the open handle has not yet
+    # buffered, or block for a writer that has gone: a pipe takes the line
+    # pass over the handle whose header was checked
+    recs, _ = run(SimConfig(model=plain_model(), n_pulses=300, seed=44))
+    p = tmp_path / "pulses.csv"
+    write_pulses_csv(p, recs)
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    passes = spy_loadtxt(monkeypatch)
+    with ThreadPoolExecutor(2) as pool:
+        pool.submit(fifo.write_bytes, p.read_bytes())
+        back = pool.submit(read_pulses_csv, fifo)
+        try:
+            rows = back.result(timeout=10)
+        finally:
+            if not back.done():  # a reader blocked reopening the pipe: release it
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    assert rows.tobytes() == recs.tobytes()
+    assert passes == ["lines"]
+
+
+def test_table_replaced_after_header_read_is_read_from_its_handle(tmp_path, monkeypatch):
+    # the body must come from the file whose header was checked, not from
+    # one renamed over its path in between
+    recs, _ = run(SimConfig(model=plain_model(), n_pulses=300, seed=44))
+    p = tmp_path / "pulses.csv"
+    write_pulses_csv(p, recs)
+    other = tmp_path / "other.csv"
+    write_pulses_csv(other, recs[:1])
+    real_read_rows = simulate._read_rows
+
+    def replace_then_read(fh, path, dtype, skiprows):
+        os.replace(other, path)
+        return real_read_rows(fh, path, dtype, skiprows)
+
+    monkeypatch.setattr(simulate, "_read_rows", replace_then_read)
+    passes = spy_loadtxt(monkeypatch)
+    assert read_pulses_csv(p).tobytes() == recs.tobytes()
+    assert passes == ["lines"]
+
+
+def test_malformed_row_among_whitespace_lines_keeps_its_message(tmp_path):
+    # the line pass words the error, so the row number counts non-blank body
+    # rows from 0, as it did when every file took that pass
+    p = tmp_path / "bad.csv"
+    p.write_text(PULSE_HEAD + "1,2,3\n  \n\n4,5,x\n")
+    with pytest.raises(FormatError) as info:
+        read_pulses_csv(p)
+    assert str(info.value) == (
+        f"{p}: bad row: could not convert string 'x' to float64 at row 1, column 3.")
+
+
+@pytest.mark.parametrize("reader, text", [
+    (read_pulses_csv, PULSE_HEAD + "1,2,100.5\n"),
+    (read_histogram_csv, HIST_HEAD + HIST_BODY),
+], ids=["pulses", "histogram"])
+def test_gzip_compressed_table_is_format_error(tmp_path, reader, text):
+    p = tmp_path / "table.csv.gz"
+    p.write_bytes(gzip.compress(text.encode()))
+    with pytest.raises(FormatError, match=re.escape(f"{p}: not a text file: ")):
+        reader(p)
+
+
+def test_histogram_csv_round_trip(tmp_path, monkeypatch):
     _, hist = run(SimConfig(model=plain_model(), n_pulses=3000, seed=44))
     p = tmp_path / "hist.csv"
     write_histogram_csv(p, hist)
+    passes = spy_loadtxt(monkeypatch)
     back = read_histogram_csv(p)
+    assert passes == ["path"]
     assert np.allclose(back.bin_edges, hist.bin_edges)
     assert np.array_equal(back.counts, hist.counts)
     assert back.total_pulses == hist.total_pulses
