@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .core import (Constraint, DecisionScheme, DegenerateDesignError,
                    DetectorModel, GaussianPeak, Histogram, MixtureModel,
-                   NoiseReport, gaussian_cdf, substream)
+                   NoiseReport, substream)
 from .discriminate import (ConfusionMatrix, InvalidModelError,
                            NoIntersectionError, build_scheme, classify,
                            confusion, one_vs_many_error, threshold)
@@ -30,7 +30,7 @@ __all__ = [
     # core
     "Constraint", "DecisionScheme", "DegenerateDesignError", "DetectorModel",
     "GaussianPeak", "Histogram", "MixtureModel", "NoiseReport",
-    "gaussian_cdf", "substream",
+    "substream",
     # simulate
     "CapacityError", "FormatError", "SimConfig", "histogram_from_areas",
     "read_histogram_csv", "read_pulses_csv", "run", "write_histogram_csv",

@@ -28,7 +28,6 @@ __all__ = [
     "DecisionScheme",
     "NoiseReport",
     "DegenerateDesignError",
-    "gaussian_cdf",
     "substream",
 ]
 
@@ -64,29 +63,6 @@ def substream(seed: int, index: int) -> np.random.Generator:
 # numerical primitives
 # ---------------------------------------------------------------------------
 
-def gaussian_cdf(x, mean, std_dev):
-    """Normal CDF to 1e-15 absolute, 1e-12 relative where >= 1e-250 (inside
-    the 1e-7 contract), and exactly 0 or 1 beyond 36.25 standard deviations.
-
-    x, mean and std_dev broadcast against each other, so one call can
-    evaluate several peaks on one grid.  +/-inf are legitimate limit values
-    of x and map to 1/0; NaN in x is an error, as is a non-finite mean or a
-    std_dev that is not finite and > 0.  Scalars in, scalar out; arrays in,
-    array out.
-    """
-    std_dev = np.asarray(std_dev, dtype=float)
-    if not (np.isfinite(std_dev) & (std_dev > 0)).all():
-        raise ValueError(f"std_dev must be finite and > 0, got {std_dev}")
-    mean = np.asarray(mean, dtype=float)
-    if not np.isfinite(mean).all():
-        raise ValueError(f"mean must be finite, got {mean}")
-    arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError("gaussian_cdf: NaN input")
-    out = _std_normal_cdf_pdf((arr - mean) / std_dev)[0]
-    return float(out) if np.ndim(out) == 0 else out
-
-
 # Normal CDF kernel: Phi(-|z|) = exp(-z^2/2) erfcx(|z|/sqrt 2)/2, where erfcx(u) =
 # exp(u^2) erfc(u) is a degree-6 polynomial per unit cell of v = 400/(4+u) (the
 # layout of S. G. Johnson's Faddeeva erfcx).  No step makes a subnormal, on which
@@ -116,8 +92,9 @@ _ERFCX_CELLS = _erfcx_cells()
 
 def _std_normal_cdf_pdf(z):
     """Standard normal CDF and density from one exp, elementwise and unvalidated:
-    the kernel behind `gaussian_cdf` and the fit's bin masses and Jacobian.
-    NaN propagates; +/-inf give exactly 1/0 and density 0."""
+    the kernel behind `_interval_mass`.  The CDF is within 1e-15 absolute and,
+    where it is >= 1e-250, 1e-12 relative of 0.5*erfc(-z/sqrt 2), and exactly
+    0 or 1 beyond |z| = 36.25.  NaN propagates; +/-inf give 1/0, density 0."""
     z = np.asarray(z, dtype=float)
     flat = z.reshape(-1)
     a = np.abs(flat)
@@ -135,6 +112,15 @@ def _std_normal_cdf_pdf(z):
     tail = (tail + coef[-1]) * e                         # Phi(-|z|)
     cdf = np.where(flat < 0, tail, 1.0 - tail)
     return cdf.reshape(z.shape), (e / _SQRT2PI).reshape(z.shape)
+
+
+def _interval_mass(edges, means: np.ndarray, sigmas: np.ndarray):
+    """(len(edges) - 1, K) unit mass of each peak between successive edges, and
+    the (len(edges), K) edge z-scores and densities, for checked means and
+    widths: the one path to the fit's bin masses and the decision regions'."""
+    z = (np.asarray(edges, dtype=float)[:, None] - means[None, :]) / sigmas[None, :]
+    cdf, phi = _std_normal_cdf_pdf(z)
+    return cdf[1:] - cdf[:-1], z, phi
 
 
 def _finite(name: str, value, above=None) -> None:

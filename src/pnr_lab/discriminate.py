@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DecisionScheme, MixtureModel, gaussian_cdf
+from .core import DecisionScheme, MixtureModel, _interval_mass
 
 __all__ = [
     "ConfusionMatrix",
@@ -104,13 +104,6 @@ def _crossing(x_i, sigma_i, x_next, sigma_next, log_w_ratio) -> float:
     return t
 
 
-def _region_mass(means, sigmas, cuts) -> np.ndarray:
-    """mass[j, i]: unit mass of peak j inside region i of the cuts."""
-    edges = np.concatenate([[-np.inf], cuts, [np.inf]])
-    cdf = gaussian_cdf(edges, means[:, None], sigmas[:, None])
-    return cdf[:, 1:] - cdf[:, :-1]
-
-
 def build_scheme(model: MixtureModel, priors: str = "equal") -> DecisionScheme:
     """Thresholds plus per-number error probabilities for a mixture.
 
@@ -134,8 +127,8 @@ def build_scheme(model: MixtureModel, priors: str = "equal") -> DecisionScheme:
 
 
 def _cuts_and_mass(model: MixtureModel, priors: str):
-    """Cuts, normalized priors and the region-mass matrix on those cuts, for
-    the prior mode of `build_scheme`."""
+    """Cuts, normalized priors and mass[j, i], the unit mass of peak j inside
+    region i of the cuts, for the prior mode of `build_scheme`."""
     k = model.n_peaks
     if k < 2:
         raise InvalidModelError("need at least 2 peaks for a decision scheme")
@@ -156,7 +149,9 @@ def _cuts_and_mass(model: MixtureModel, priors: str):
     # Python floats: _crossing's scalar math is over twice as slow on numpy scalars
     x, s, g = means.tolist(), sigmas.tolist(), (-np.diff(np.log(pri))).tolist()
     cuts = [_crossing(x[i], s[i], x[i + 1], s[i + 1], g[i]) for i in range(k - 1)]
-    return cuts, pri, _region_mass(means, sigmas, cuts)
+    mass = _interval_mass([-np.inf, *cuts, np.inf], means, sigmas)[0]
+    # C order: matmul and row sums over a transposed view add in another order
+    return cuts, pri, np.ascontiguousarray(mass.T)
 
 
 def _checked_priors(priors, k: int) -> np.ndarray:

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Constraint, Histogram, MixtureModel, _finite, _log_factorials,
-                   _normalized_exp, _poisson_log_pmf, _std_normal_cdf_pdf,
+from .core import (Constraint, Histogram, MixtureModel, _finite, _interval_mass,
+                   _log_factorials, _normalized_exp, _poisson_log_pmf,
                    _variance_components, _variance_parts, _whole)
 
 __all__ = [
@@ -151,19 +151,12 @@ def init_guess(hist: Histogram, n_peaks="auto") -> MixtureModel:
 # model evaluation
 # ---------------------------------------------------------------------------
 
-def _cdf_cols(edges: np.ndarray, means: np.ndarray, sigmas: np.ndarray):
-    """(n_bins, K) per-peak bin masses, plus the edge z-scores and densities."""
-    z = (edges[:, None] - means[None, :]) / sigmas[None, :]
-    cdf, phi = _std_normal_cdf_pdf(z)
-    return cdf[1:, :] - cdf[:-1, :], z, phi
-
-
 def expected_counts(model: MixtureModel, edges: np.ndarray, total: float):
     """Per-peak and summed expected counts in the given bins.
 
     Returns (per_peak, total_curve): per_peak has shape (K, n_bins).
     """
-    p, _, _ = _cdf_cols(np.asarray(edges, dtype=float), model.means(), model.std_devs())
+    p, _, _ = _interval_mass(edges, model.means(), model.std_devs())
     per_peak = (total * model.weights()[None, :] * p).T
     return per_peak, per_peak.sum(axis=0)
 
@@ -249,7 +242,7 @@ class _Problem:
         """-> (model counts, peak means, the arrays `jacobian` takes after p)"""
         x0, spacing, sat, sig, w, _ = self.unpack(p)
         means = x0 + spacing * self.idx + sat * self.neg_idx_sq
-        pmat, z, phi = _cdf_cols(self.edges, means, sig)
+        pmat, z, phi = _interval_mass(self.edges, means, sig)
         return self.n_total * (pmat @ w), means, (pmat, z, phi, sig, w)
 
     def evaluate(self, p: np.ndarray):
@@ -466,6 +459,9 @@ def report_from_json(doc: dict) -> FitReport:
         warnings = doc.get("warnings", [])
         if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
             raise TypeError(f"warnings must be a list of strings, got {warnings!r}")
+        converged = doc.get("converged", False)
+        if not isinstance(converged, bool):
+            raise TypeError(f"converged must be true or false, got {converged!r}")
         model = MixtureModel.from_peaks(
             [pk["mean"] for pk in peaks], [pk["std"] for pk in peaks],
             [pk["weight"] for pk in peaks], Constraint.parse(doc["constraint"]),
@@ -473,8 +469,8 @@ def report_from_json(doc: dict) -> FitReport:
         return FitReport(
             model=model,
             objective=float(doc.get("objective", math.nan)),
-            iterations=int(doc.get("iterations", 0)),
-            converged=bool(doc.get("converged", False)),
+            iterations=_whole("iterations", doc.get("iterations", 0), 0),
+            converged=converged,
             warnings=tuple(warnings),
         )
     except (KeyError, TypeError, ValueError) as exc:

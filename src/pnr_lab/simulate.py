@@ -48,6 +48,8 @@ __all__ = [
 
 CHUNK_PULSES = 8192          # substream granularity; fixed forever for reproducibility
 MAX_PULSES = 10_000_000      # storage budget guard (~240 MB of records)
+MAX_BINS = 1_000_000         # histogram budget guard (16 MB of edges and counts)
+MAX_POISSON_MEAN = 1e6       # the draw table holds mu + 12*sqrt(mu) + 20 log-factorials
 CSV_VERSION = "# pnr-lab v1"
 
 PULSE_DTYPE = np.dtype([
@@ -64,7 +66,8 @@ _HISTOGRAM_DTYPE = np.dtype([
 
 
 class CapacityError(ValueError):
-    """n_pulses exceeds the in-memory storage budget."""
+    """A run or histogram would exceed a memory budget: pulses, bins or a
+    Poisson mean's draw table."""
 
 
 class FormatError(ValueError):
@@ -84,6 +87,11 @@ class SimConfig:
         if self.n_pulses > MAX_PULSES:
             raise CapacityError(
                 f"n_pulses={self.n_pulses} exceeds the storage budget of {MAX_PULSES}")
+        for name in ("mean_photon_number", "dark_rate_per_gate"):
+            mu = getattr(self.model, name)
+            if mu > MAX_POISSON_MEAN:
+                raise CapacityError(
+                    f"{name}={mu!r} exceeds the Poisson mean budget of {MAX_POISSON_MEAN:g}")
         if isinstance(self.bin_width, str):
             if self.bin_width != "auto":
                 raise ValueError(f"bin_width must be a positive number or 'auto', got {self.bin_width!r}")
@@ -184,17 +192,24 @@ def histogram_from_areas(areas: np.ndarray, bin_width: float) -> Histogram:
     """Bin areas on a grid of the given width aligned to multiples of it.
 
     The grid covers every sample, so underflow/overflow are zero here; they
-    exist on the type for histograms read from external files.
+    exist on the type for histograms read from external files.  A grid
+    beyond MAX_BINS bins is a CapacityError, raised before it is built.
     """
     areas = np.asarray(areas, dtype=float)
     if len(areas) == 0:
         raise ValueError("cannot histogram zero pulses")
     if bin_width <= 0:
         raise ValueError("bin_width must be > 0")
-    low, high = areas.min(), areas.max()
+    low, high = float(areas.min()), float(areas.max())
     if not (math.isfinite(low) and math.isfinite(high)):
         n_bad = np.count_nonzero(~np.isfinite(areas))
         raise ValueError(f"cannot histogram non-finite areas: {n_bad} of {len(areas)}")
+    # the grid's size, to within a bin, before it is built: NaN or inf where
+    # an area's grid index overflows a float
+    n_bins = high / bin_width - low / bin_width + 1.0
+    if not n_bins <= MAX_BINS:
+        raise CapacityError(f"areas {low!r} to {high!r} need {n_bins:.3g} bins of width "
+                            f"{bin_width!r}, over the histogram budget of {MAX_BINS}")
     lo = math.floor(low / bin_width) * bin_width
     n_bins = int(math.floor((high - lo) / bin_width)) + 1
     edges = lo + bin_width * np.arange(n_bins + 1)

@@ -121,6 +121,20 @@ def test_simulate_fractional_integer_field_exit_2(tmp_path, capsys, field, value
     assert not (tmp_path / "o" / "pulses.csv").exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("mult_noise_var", 1e30, "bins of width 11.25, over the histogram budget of 1000000"),
+    ("mean_photon_number", 1e9, "mean_photon_number=1000000000.0 exceeds the Poisson mean budget"),
+    ("dark_rate_per_gate", 1e9, "dark_rate_per_gate=1000000000.0 exceeds the Poisson mean budget"),
+])
+def test_simulate_beyond_a_memory_budget_exit_2(tmp_path, capsys, field, value, message):
+    doc = {"model": dict(SIM_MODEL, **{field: value}), "n_pulses": 2000, "seed": 16}
+    cfg = write_config(tmp_path / "big.json", doc)
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "pulses.csv").exists()
+
+
 # qe's readings, like the detector model, refuse the NaN and Infinity that
 # Python's JSON reader accepts: NaN once printed the invalid JSON "raw": NaN
 QE_NON_FINITE = [("wavelength_m", "wavelength", math.nan),
@@ -339,7 +353,8 @@ def test_analyze_too_few_peaks_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("field, value", [("objective", None), ("warnings", 5)])
+@pytest.mark.parametrize("field, value", [("objective", None), ("warnings", 5),
+                                          ("converged", "false"), ("iterations", 2.9)])
 def test_analyze_mistyped_report_exit_2(tmp_path, capsys, field, value):
     doc = {"constraint": "free",
            "peaks": [{"i": i, "mean": 100.0 * i, "std": 5.0, "weight": 1 / 3}

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import pnr_lab
 from pnr_lab import (Constraint, DecisionScheme, DetectorModel, FitConfig, GaussianPeak,
-                     Histogram, MixtureModel, NoiseReport, SimConfig, gaussian_cdf, substream)
-from pnr_lab.core import (_log_factorials, _normalized_exp, _poisson_log_pmf,
+                     Histogram, MixtureModel, NoiseReport, SimConfig, substream)
+from pnr_lab.core import (_interval_mass, _log_factorials, _normalized_exp, _poisson_log_pmf,
                           _std_normal_cdf_pdf)
 
 
@@ -80,41 +80,46 @@ def test_substream_seed_matters():
 
 # ---------------------------------------------------------------- gaussians
 
-def test_gaussian_cdf_basics():
-    assert gaussian_cdf(0.0, 0.0, 1.0) == pytest.approx(0.5)
-    assert gaussian_cdf(1.0, 0.0, 1.0) == pytest.approx(0.8413447460685429, abs=1e-12)
-    assert gaussian_cdf(-np.inf, 3.0, 2.0) == 0.0
-    assert gaussian_cdf(np.inf, 3.0, 2.0) == 1.0
+def test_interval_mass_values_and_limits():
+    mass, z, phi = _interval_mass([-np.inf, 0.0, 1.0, np.inf], np.array([0.0]), np.array([1.0]))
+    assert mass.shape == (3, 1) and z.shape == phi.shape == (4, 1)
+    assert mass[0, 0] == pytest.approx(0.5)
+    assert mass[0, 0] + mass[1, 0] == pytest.approx(0.8413447460685429, abs=1e-12)
+    assert mass.sum() == 1.0
+    assert phi[0, 0] == phi[-1, 0] == 0.0
 
 
-def test_gaussian_cdf_array_and_scalar():
-    out = gaussian_cdf(np.array([-1.0, 0.0, 1.0]), 0.0, 1.0)
-    assert out.shape == (3,)
-    assert out[1] == pytest.approx(0.5)
-    assert isinstance(gaussian_cdf(0.2, 0.0, 1.0), float)
-
-
-def test_gaussian_cdf_broadcasts_means_and_widths():
-    x = np.array([-np.inf, 0.5, 2.0, np.inf])
+def test_interval_mass_columns_match_one_peak_calls():
+    edges = np.array([-np.inf, 0.5, 2.0, np.inf])
     means = np.array([0.0, 1.0, 3.0])
     sigmas = np.array([1.0, 0.5, 2.0])
-    grid = gaussian_cdf(x, means[:, None], sigmas[:, None])
-    assert grid.shape == (3, 4)
-    for row, m, s in zip(grid, means, sigmas):
-        assert np.array_equal(row, gaussian_cdf(x, m, s))
-    with pytest.raises(ValueError):
-        gaussian_cdf(x, means[:, None], np.array([[1.0], [0.0], [2.0]]))
-    with pytest.raises(ValueError):
-        gaussian_cdf(x, np.array([[0.0], [np.nan]]), 1.0)
+    grid = _interval_mass(edges, means, sigmas)
+    assert [a.shape for a in grid] == [(3, 3), (4, 3), (4, 3)]
+    for j in range(3):
+        one = _interval_mass(edges, means[j:j + 1], sigmas[j:j + 1])
+        for whole, col in zip(grid, one):
+            assert np.array_equal(whole[:, j], col[:, 0])
 
 
-def test_gaussian_cdf_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gaussian_cdf(np.nan, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        gaussian_cdf(0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        gaussian_cdf(0.0, np.inf, 1.0)
+def _scopes_using(node, name, scope=None):
+    """The enclosing function (None at module level) of every reference to
+    `name` below `node`: a load, an attribute or an import."""
+    for child in ast.iter_child_nodes(node):
+        ref = (child.id if isinstance(child, ast.Name) else
+               child.attr if isinstance(child, ast.Attribute) else
+               child.name if isinstance(child, ast.alias) else None)
+        if ref == name:
+            yield scope
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _scopes_using(child, name, inner)
+
+
+def test_normal_kernel_has_one_caller():
+    """The fit's bin masses and the decision regions' masses share one path:
+    the only reference to `_std_normal_cdf_pdf` is `core._interval_mass`'s call."""
+    users = [(path.name, scope) for path in sorted(Path(pnr_lab.__file__).parent.glob("*.py"))
+             for scope in _scopes_using(ast.parse(path.read_text()), "_std_normal_cdf_pdf")]
+    assert users == [("core.py", "_interval_mass")]
 
 
 def _cdf_oracle(z):
@@ -366,3 +371,5 @@ def test_gaussian_peak_fields():
             with pytest.raises(ValueError, match=f"peak {field} must be finite"):
                 GaussianPeak(**{"index": 2, "mean": 275.0, "std_dev": 31.7, "weight": 0.25,
                                 field: bad})
+    with pytest.raises(ValueError, match="peak std_dev must be finite and > 0"):
+        GaussianPeak(index=2, mean=275.0, std_dev=0.0, weight=0.25)

@@ -278,7 +278,10 @@ def test_report_from_json_rejects_garbage():
 
 
 @pytest.mark.parametrize("field, value", [("objective", None), ("warnings", 5),
-                                          ("warnings", "rank")])
+                                          ("warnings", "rank"), ("converged", "false"),
+                                          ("converged", 1), ("converged", None),
+                                          ("iterations", 2.9), ("iterations", -1),
+                                          ("iterations", True), ("iterations", "3")])
 def test_report_from_json_rejects_mistyped_fields(field, value):
     doc = {"constraint": "free",
            "peaks": [{"i": i, "mean": 100.0 * i, "std": 5.0, "weight": 1 / 3}
@@ -286,6 +289,16 @@ def test_report_from_json_rejects_mistyped_fields(field, value):
            "objective": 1.0, "converged": True, "iterations": 3, field: value}
     with pytest.raises(FitSetupError, match="malformed fit report"):
         report_from_json(doc)
+
+
+def test_report_from_json_defaults_missing_fields():
+    doc = {"constraint": "free",
+           "peaks": [{"i": i, "mean": 100.0 * i, "std": 5.0, "weight": 1 / 3}
+                     for i in range(3)]}
+    rep = report_from_json(doc)
+    assert rep.converged is False and rep.iterations == 0 and np.isnan(rep.objective)
+    rep = report_from_json(dict(doc, converged=True, iterations=3.0))
+    assert rep.converged is True and rep.iterations == 3 and type(rep.iterations) is int
 
 
 def test_expected_counts_totals(law_model):

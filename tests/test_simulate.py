@@ -12,7 +12,8 @@ from pnr_lab import (CapacityError, DetectorModel, FormatError, SimConfig,
                      histogram_from_areas, read_histogram_csv, read_pulses_csv,
                      run, write_histogram_csv, write_pulses_csv)
 from pnr_lab import simulate
-from pnr_lab.simulate import CHUNK_PULSES, MAX_PULSES, PULSE_DTYPE
+from pnr_lab.simulate import (CHUNK_PULSES, MAX_BINS, MAX_POISSON_MEAN, MAX_PULSES,
+                              PULSE_DTYPE)
 
 
 def plain_model(**over):
@@ -176,6 +177,23 @@ def test_auto_bin_width_tracks_gain():
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         SimConfig(model=plain_model(), n_pulses=MAX_PULSES + 1, seed=0)
+    # a Poisson mean whose draw table would hold ~1e9 log-factorials
+    for name in ("mean_photon_number", "dark_rate_per_gate"):
+        with pytest.raises(CapacityError, match=f"^{name}=1000000000.0 exceeds"):
+            SimConfig(model=plain_model(**{name: 1e9}), n_pulses=1, seed=0)
+    SimConfig(model=plain_model(mean_photon_number=MAX_POISSON_MEAN,
+                                dark_rate_per_gate=MAX_POISSON_MEAN), n_pulses=1, seed=0)
+
+
+def test_histogram_refuses_grid_beyond_bin_budget():
+    # 1e15 bins: numpy's MemoryError, had the grid been built
+    with pytest.raises(CapacityError,
+                       match=r"^areas 0.0 to 1000000000000000.0 need 1e\+15 bins of width 1.0"):
+        histogram_from_areas(np.array([0.0, 1e15]), 1.0)
+    # grid indices beyond float range
+    with pytest.raises(CapacityError, match="need nan bins of width 1e-10"):
+        histogram_from_areas(np.array([1e300]), 1e-10)
+    assert histogram_from_areas(np.array([0.0, MAX_BINS - 1.0]), 1.0).n_bins == MAX_BINS
 
 
 # ---------------------------------------------------------------- CSV round trips
