@@ -96,12 +96,16 @@ def _std_normal_cdf_pdf(z):
     where it is >= 1e-250, 1e-12 relative of 0.5*erfc(-z/sqrt 2), and exactly
     0 or 1 beyond |z| = 36.25.  NaN propagates; +/-inf give 1/0, density 0."""
     z = np.asarray(z, dtype=float)
-    flat = z.reshape(-1)
+    flat = z.reshape(-1)                                 # 1-D, so out= works for 0-d z
     a = np.abs(flat)
-    e = -0.5 * np.square(np.minimum(a, _Z_CAP))          # NaN stays NaN
+    e = np.minimum(a, _Z_CAP)                            # NaN stays NaN
+    np.square(e, out=e)
+    e *= -0.5
     e[e < _LOG_DENSITY_MIN] = -np.inf
     np.exp(e, out=e)                                     # exp(-z^2/2)
-    v = 400.0 * math.sqrt(2.0) / (np.fmin(a, _Z_CAP) + 4.0 * math.sqrt(2.0))
+    v = np.fmin(a, _Z_CAP, out=a)
+    v += 4.0 * math.sqrt(2.0)
+    np.divide(400.0 * math.sqrt(2.0), v, out=v)
     cell = np.rint(v)                                    # v = 400 / (4 + |z|/sqrt 2)
     v -= cell
     coef = _ERFCX_CELLS.take(cell.astype(np.intp), axis=0).T
@@ -109,16 +113,20 @@ def _std_normal_cdf_pdf(z):
     for c in coef[1:-1]:
         tail += c
         tail *= v
-    tail = (tail + coef[-1]) * e                         # Phi(-|z|)
-    cdf = np.where(flat < 0, tail, 1.0 - tail)
-    return cdf.reshape(z.shape), (e / _SQRT2PI).reshape(z.shape)
+    tail += coef[-1]
+    tail *= e                                            # Phi(-|z|)
+    cdf = np.subtract(1.0, tail)
+    np.copyto(cdf, tail, where=flat < 0)
+    e /= _SQRT2PI
+    return cdf.reshape(z.shape), e.reshape(z.shape)
 
 
 def _interval_mass(edges, means: np.ndarray, sigmas: np.ndarray):
     """(len(edges) - 1, K) unit mass of each peak between successive edges, and
     the (len(edges), K) edge z-scores and densities, for checked means and
     widths: the one path to the fit's bin masses and the decision regions'."""
-    z = (np.asarray(edges, dtype=float)[:, None] - means[None, :]) / sigmas[None, :]
+    z = np.subtract(np.asarray(edges, dtype=float)[:, None], means)
+    z /= sigmas
     cdf, phi = _std_normal_cdf_pdf(z)
     return cdf[1:] - cdf[:-1], z, phi
 

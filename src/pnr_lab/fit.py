@@ -102,35 +102,21 @@ def init_guess(hist: Histogram, n_peaks="auto") -> MixtureModel:
     counts = hist.counts.astype(float)
     if len(counts) < 3:
         raise FitSetupError("histogram has too few bins for an automatic guess")
-    smoothed = np.convolve(counts, np.ones(_SMOOTH_BINS) / _SMOOTH_BINS, mode="same").tolist()
-    gmax = max(smoothed)
+    smoothed = np.convolve(counts, np.ones(_SMOOTH_BINS) / _SMOOTH_BINS, mode="same")
+    gmax = smoothed.max()
     if gmax <= 0:
         raise FitSetupError("histogram is empty; provide an explicit initial model")
-    # Scan runs of equal smoothed counts as single candidates: a symmetric
-    # peak can tie two adjacent bins after averaging, and a bin-by-bin
-    # strict comparison would drop it entirely.  (A list: numpy scalars are slow.)
-    prominent = []
-    n = len(smoothed)
-    a = 0
-    while a < n:
-        b = a
-        while b + 1 < n and smoothed[b + 1] == smoothed[a]:
-            b += 1
-        run_is_max = (a > 0 and b < n - 1
-                      and smoothed[a] > smoothed[a - 1]
-                      and smoothed[b] > smoothed[b + 1]
-                      and smoothed[a] > _PROMINENCE * gmax)
-        if run_is_max:
-            prominent.append((a + b) // 2)
-        a = b + 1
-    prominent = np.asarray(prominent, dtype=int)
+    prominent = _plateau_maxima(smoothed, _PROMINENCE * gmax)
     if len(prominent) < 2:
         raise FitSetupError(
             f"found {len(prominent)} prominent maxima; need at least 2 — "
             "provide an explicit initial model")
     centers = hist.centers[prominent]
     x0 = float(centers[0])
-    spacing = float(np.median(np.diff(centers)))
+    # the median gap, as np.median takes it, without np.median's numpy.ma import
+    gaps = np.sort(np.diff(centers))
+    half = len(gaps) // 2
+    spacing = float(gaps[half] if len(gaps) % 2 else (gaps[half - 1] + gaps[half]) / 2.0)
     k = len(prominent) + 2 if k == "auto" else k
 
     # mass between midpoints of the guessed ladder -> starting weights
@@ -145,6 +131,21 @@ def init_guess(hist: Histogram, n_peaks="auto") -> MixtureModel:
 
     sigmas = np.full(k, spacing / 4.0)
     return MixtureModel.from_ladder(x0, spacing, 0.0, sigmas, weights)
+
+
+def _plateau_maxima(y: np.ndarray, floor: float) -> np.ndarray:
+    """Middle indices of the runs of equal values in `y` that rise from the run
+    before, fall to the run after and exceed `floor`.
+
+    A run counts as one candidate: a symmetric peak can tie two adjacent bins
+    after averaging, and a bin-by-bin strict comparison would drop it
+    entirely.  Runs touching either end of `y` are never maxima.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    level = y[starts]
+    mid = level[1:-1]
+    is_max = (mid > level[:-2]) & (mid > level[2:]) & (mid > floor)
+    return ((starts[1:-1] + starts[2:] - 1) // 2)[is_max]
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +217,16 @@ class _Problem:
             v_0, v_m = max(v_0, floor), max(v_m, floor)
         return np.array(head + [math.log(v_elec), math.log(v_0), math.log(v_m)] + logits)
 
+    def sigmas(self, width: np.ndarray) -> np.ndarray:
+        """Peak widths from the width parameters p[3:3 + n_width]."""
+        if self.variance_law:
+            return np.sqrt(self.var_parts @ _bounded_exp(width))
+        return _bounded_exp(width)
+
     def unpack(self, p: np.ndarray):
         """-> (x0, spacing, sat, sigmas, weights, mu_or_None)"""
         x0, spacing, sat = p[0], p[1], p[2]
-        width, tail = p[3:3 + self.n_width], p[3 + self.n_width:]
-        if self.variance_law:
-            sig = np.sqrt(self.var_parts @ _bounded_exp(width))
-        else:
-            sig = _bounded_exp(width)
+        sig, tail = self.sigmas(p[3:3 + self.n_width]), p[3 + self.n_width:]
         if self.poisson:
             mu = float(_bounded_exp(tail[0]))
             w = _normalized_exp(_poisson_log_pmf(mu, self.log_factorials))
@@ -238,32 +241,39 @@ class _Problem:
 
     # -- objective and Jacobian ------------------------------------------
 
+    def means(self, x0, spacing, sat) -> np.ndarray:
+        return x0 + spacing * self.idx + sat * self.neg_idx_sq
+
     def counts_model(self, p: np.ndarray):
         """-> (model counts, peak means, the arrays `jacobian` takes after p)"""
         x0, spacing, sat, sig, w, _ = self.unpack(p)
-        means = x0 + spacing * self.idx + sat * self.neg_idx_sq
+        means = self.means(x0, spacing, sat)
         pmat, z, phi = _interval_mass(self.edges, means, sig)
-        return self.n_total * (pmat @ w), means, (pmat, z, phi, sig, w)
+        mix = pmat @ w                                       # per-bin model mass
+        return self.n_total * mix, means, (pmat, z, phi, sig, w, mix)
 
     def evaluate(self, p: np.ndarray):
         """-> (count residuals, objective, peak means, the arrays `jacobian` takes)"""
         m, means, parts = self.counts_model(p)
         r = self.counts - m
-        return r, float(np.sum(self.wls * r * r)), means, parts
+        return r, float((self.wls * r * r).sum()), means, parts
 
-    def jacobian(self, p: np.ndarray, pmat, z, phi, sig, w) -> np.ndarray:
+    def jacobian(self, p: np.ndarray, pmat, z, phi, sig, w, mix) -> np.ndarray:
         n_width = self.n_width
+        nw = self.n_total * w
         cols = np.empty((len(self.counts), self.n_params()))
-        # d(bin mass)/d(mean) for each peak
-        dpdx = (phi[:-1, :] - phi[1:, :]) / sig[None, :]
-        wdpdx = self.n_total * w[None, :] * dpdx
+        # d(bin mass)/d(mean) for each peak, times N w_i
+        wdpdx = phi[:-1] - phi[1:]
+        wdpdx /= sig
+        wdpdx *= nw
         cols[:, 0] = wdpdx.sum(axis=1)                       # x0
         cols[:, 1] = wdpdx @ self.idx                        # spacing
         cols[:, 2] = wdpdx @ self.neg_idx_sq                 # sat
 
-        # d(bin mass)/d(log sigma) for each peak
+        # d(bin mass)/d(log sigma) for each peak, times N w_i
         zphi = z * phi
-        wdpds = self.n_total * w[None, :] * (zphi[:-1, :] - zphi[1:, :])
+        wdpds = zphi[:-1] - zphi[1:]
+        wdpds *= nw
         if self.variance_law:
             # d log sigma_i / d log v_j = v_j * (d sigma_i^2 / d v_j) / (2 sigma_i^2)
             v = _bounded_exp(p[3:6])
@@ -272,11 +282,12 @@ class _Problem:
         cols[:, 3:3 + n_width] = wdpds * (np.abs(p[3:3 + n_width]) < _LOG_CLIP)
 
         if self.poisson:
-            ibar = float(np.sum(w * self.idx))
+            ibar = float((w * self.idx).sum())
             cols[:, 3 + n_width] = self.n_total * (pmat @ (w * (self.idx - ibar)))
         else:
-            mix = pmat @ w                                   # per-bin model mass
-            cols[:, 3 + n_width:] = self.n_total * w[None, 1:] * (pmat[:, 1:] - mix[:, None])
+            dlogit = pmat[:, 1:] - mix[:, None]
+            dlogit *= nw[1:]
+            cols[:, 3 + n_width:] = dlogit
         return cols
 
 
@@ -305,20 +316,31 @@ def _best_width_scale(prob: _Problem, p: np.ndarray):
     The automatic init sets every width to a quarter of the peak spacing;
     when the true peaks are much narrower than that, the damped iteration
     starts in a basin where fattening one component beats narrowing all of
-    them.  A few objective evaluations at scaled widths put the start on the
-    right side of that ridge.  Ties keep the unscaled start.  Returns the
-    start and its `evaluate`.
+    them.  Objective evaluations at scaled widths put the start on the right
+    side of that ridge.  Only the widths differ between the starts, so one
+    `_interval_mass` call covers them all: columns j*K .. j*K + K - 1 of its
+    (bins + 1) x 6K block are the peaks of start j, and each start's
+    objective and `evaluate` parts are computed as `evaluate` computes them.
+    Ties keep the unscaled start.  Returns the start and its `evaluate`.
     """
-    sl = slice(3, 3 + prob.n_width)
+    k, sl = prob.k, slice(3, 3 + prob.n_width)
     mult = 2.0 if prob.variance_law else 1.0  # variance parameters: scale by s**2
-    best_p, best = p, None
-    for s in _WIDTH_SCALES:
-        q = p.copy()
-        q[sl] = q[sl] + mult * math.log(s)
-        ev = prob.evaluate(q)
-        if math.isfinite(ev[1]) and (best is None or ev[1] < best[1]):
-            best_p, best = q, ev
-    return best_p, best or prob.evaluate(p)
+    starts = np.repeat(p[None, :], len(_WIDTH_SCALES), axis=0)
+    starts[:, sl] += np.array([[mult * math.log(s)] for s in _WIDTH_SCALES])
+    x0, spacing, sat, _, w, _ = prob.unpack(p)
+    means = prob.means(x0, spacing, sat)
+    sigs = [prob.sigmas(q[sl]) for q in starts]
+    pmat, z, phi = _interval_mass(prob.edges, np.tile(means, len(sigs)), np.concatenate(sigs))
+    cols = [slice(j * k, j * k + k) for j in range(len(sigs))]
+    mix = np.stack([pmat[:, c] @ w for c in cols])
+    r = prob.counts - prob.n_total * mix
+    objs = (prob.wls * r * r).sum(axis=1).tolist()
+    finite = [j for j, obj in enumerate(objs) if math.isfinite(obj)]
+    if not finite:
+        return p, prob.evaluate(p)
+    j = min(finite, key=objs.__getitem__)          # the first of equal minima
+    c = cols[j]
+    return starts[j], (r[j], objs[j], means, (pmat[:, c], z[:, c], phi[:, c], sigs[j], w, mix[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +380,7 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
     else:
         r, obj, means, parts = prob.evaluate(p)
 
+    excess = _window_excess(means, prob.edges)
     lam = 1e-3
     converged = False
     iterations = 0
@@ -376,9 +399,10 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
         jw = jac * prob.wls[:, None]
         hess = jac.T @ jw
         grad = jw.T @ r
-        diag = hess.diagonal().copy()
-        diag[diag <= 0] = max(1e-12 * diag.max(), 1e-300)
-        excess = _window_excess(means, prob.edges)
+        diag = hess.diagonal()
+        if not diag.min() > 0:      # also when NaN
+            diag = diag.copy()
+            diag[diag <= 0] = max(1e-12 * diag.max(), 1e-300)
 
         while lam <= 1e12:
             damped = hess.copy()
@@ -394,7 +418,8 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
             except (FloatingPointError, ValueError, OverflowError):
                 lam *= 10.0
                 continue
-            if _window_excess(means2, prob.edges) > excess:
+            excess2 = _window_excess(means2, prob.edges)
+            if excess2 > excess:
                 # A peak centre drifting further than a full histogram width
                 # beyond the data is runaway along a near-flat direction, not
                 # progress: the data can never pull it back.  Steps that move
@@ -408,7 +433,7 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
         else:
             break                   # no damping gives an acceptable step
         rel_drop = (obj - obj2) / max(obj, 1e-300)
-        p, means, parts, r, obj = p_try, means2, parts2, r2, obj2
+        p, parts, r, obj, excess = p_try, parts2, r2, obj2, excess2
         lam = max(lam / 10.0, 1e-12)
         if rel_drop < cfg.tolerance:
             converged = True

@@ -50,6 +50,7 @@ CHUNK_PULSES = 8192          # substream granularity; fixed forever for reproduc
 MAX_PULSES = 10_000_000      # storage budget guard (~240 MB of records)
 MAX_BINS = 1_000_000         # histogram budget guard (16 MB of edges and counts)
 MAX_POISSON_MEAN = 1e6       # the draw table holds mu + 12*sqrt(mu) + 20 log-factorials
+MAX_CELL_DETECTIONS = 2_000_000  # expected detections in a chunk with cell_count set (~45 B each)
 CSV_VERSION = "# pnr-lab v1"
 
 PULSE_DTYPE = np.dtype([
@@ -66,8 +67,8 @@ _HISTOGRAM_DTYPE = np.dtype([
 
 
 class CapacityError(ValueError):
-    """A run or histogram would exceed a memory budget: pulses, bins or a
-    Poisson mean's draw table."""
+    """A run or histogram would exceed a memory budget: pulses, bins, a
+    Poisson mean's draw table or the cell assignment of a chunk."""
 
 
 class FormatError(ValueError):
@@ -92,6 +93,14 @@ class SimConfig:
             if mu > MAX_POISSON_MEAN:
                 raise CapacityError(
                     f"{name}={mu!r} exceeds the Poisson mean budget of {MAX_POISSON_MEAN:g}")
+        if self.model.cell_count is not None:
+            m = self.model
+            per_chunk = (m.mean_photon_number * m.quantum_efficiency
+                         + m.dark_rate_per_gate) * CHUNK_PULSES
+            if per_chunk > MAX_CELL_DETECTIONS:
+                raise CapacityError(
+                    f"cell_count saturation would assign {per_chunk:.3g} expected detections "
+                    f"per {CHUNK_PULSES}-pulse chunk, over the budget of {MAX_CELL_DETECTIONS}")
         if isinstance(self.bin_width, str):
             if self.bin_width != "auto":
                 raise ValueError(f"bin_width must be a positive number or 'auto', got {self.bin_width!r}")
@@ -105,22 +114,25 @@ class SimConfig:
         return float(self.bin_width)
 
 
-def _poisson_inverse(rng: np.random.Generator, mu: float, n: int) -> np.ndarray:
-    """Poisson sampling by CDF inversion, truncated at mu + 12*sqrt(mu) + 20.
+def _poisson_cdf(mu: float) -> np.ndarray:
+    """Draw table for Poisson sampling by inversion: the CDF at 0, 1, ...,
+    truncated at mu + 12*sqrt(mu) + 20, and [1.0] at mu = 0.
 
     The truncation leaves less than 1e-12 of probability mass outside the
-    table for any mu, so the bias is far below anything observable.
-    Inversion keeps the draw count per pulse fixed at one uniform, which is
-    what makes the substream layout stable.
+    table for any mu, so the bias is far below anything observable.  `run`
+    builds one table per mean and shares it across chunks.
     """
-    if mu < 0:
-        raise ValueError("poisson mean must be >= 0")
-    u = rng.random(n)
     if mu == 0.0:
-        return np.zeros(n, dtype=np.int64)
+        return np.ones(1)
     top = int(mu + 12.0 * math.sqrt(mu) + 20.0)
-    cdf = np.cumsum(np.exp(_poisson_log_pmf(mu, _log_factorials(top + 1))))
-    return np.searchsorted(cdf, u, side="left").astype(np.int64)
+    return np.cumsum(np.exp(_poisson_log_pmf(mu, _log_factorials(top + 1))))
+
+
+def _poisson_inverse(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
+    """n Poisson draws by CDF inversion against a `_poisson_cdf` table.
+    Inversion keeps the draw count per pulse fixed at one uniform, which is
+    what makes the substream layout stable."""
+    return np.searchsorted(cdf, rng.random(n), side="left").astype(np.int64)
 
 
 def _saturate(rng: np.random.Generator, detections: np.ndarray, cells: int) -> np.ndarray:
@@ -136,10 +148,12 @@ def _saturate(rng: np.random.Generator, detections: np.ndarray, cells: int) -> n
     return np.bincount(surviving_pairs // cells, minlength=len(detections)).astype(np.int64)
 
 
-def _sample_chunk(model: DetectorModel, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n pulse records.  RNG call order is part of the format: incident
-    Poisson, thinning binomial, dark Poisson, cell assignment, area normal."""
-    incident = _poisson_inverse(rng, model.mean_photon_number, n)
+def _sample_chunk(model: DetectorModel, rng: np.random.Generator, n: int,
+                  incident_cdf: np.ndarray, dark_cdf: np.ndarray) -> np.ndarray:
+    """Draw n pulse records, with the `_poisson_cdf` tables of the model's two
+    means.  RNG call order is part of the format: incident Poisson, thinning
+    binomial, dark Poisson, cell assignment, area normal."""
+    incident = _poisson_inverse(rng, incident_cdf, n)
     if model.quantum_efficiency == 1.0:
         detected = incident.copy()
     elif model.quantum_efficiency == 0.0:
@@ -147,7 +161,7 @@ def _sample_chunk(model: DetectorModel, rng: np.random.Generator, n: int) -> np.
     else:
         detected = rng.binomial(incident, model.quantum_efficiency).astype(np.int64)
     if model.dark_rate_per_gate > 0:
-        detected = detected + _poisson_inverse(rng, model.dark_rate_per_gate, n)
+        detected = detected + _poisson_inverse(rng, dark_cdf, n)
     if model.cell_count is not None:
         detected = _saturate(rng, detected, model.cell_count)
 
@@ -173,10 +187,12 @@ def run(config: SimConfig, workers: int = 1):
     seed; `workers` only changes wall-clock time, never the output.
     """
     n_chunks = (config.n_pulses + CHUNK_PULSES - 1) // CHUNK_PULSES
+    model = config.model
+    cdfs = _poisson_cdf(model.mean_photon_number), _poisson_cdf(model.dark_rate_per_gate)
 
     def one_chunk(k: int) -> np.ndarray:
         size = min(CHUNK_PULSES, config.n_pulses - k * CHUNK_PULSES)
-        return _sample_chunk(config.model, substream(config.seed, k), size)
+        return _sample_chunk(model, substream(config.seed, k), size, *cdfs)
 
     if workers <= 1 or n_chunks == 1:
         parts = [one_chunk(k) for k in range(n_chunks)]

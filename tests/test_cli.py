@@ -1,6 +1,7 @@
-"""End-to-end command-line checks, driven through main() plus one subprocess."""
+"""End-to-end command-line checks, driven through main() plus a few subprocess runs."""
 
 import copy
+import hashlib
 import importlib.metadata
 import json
 import math
@@ -132,6 +133,18 @@ def test_simulate_beyond_a_memory_budget_exit_2(tmp_path, capsys, field, value, 
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "pulses.csv").exists()
+
+
+def test_simulate_cell_assignment_beyond_budget_exit_2(tmp_path, capsys):
+    # a mean within the Poisson budget whose chunk of cell assignments is not
+    doc = {"model": dict(SIM_MODEL, mean_photon_number=1e6, cell_count=100),
+           "n_pulses": 2000, "seed": 16}
+    cfg = write_config(tmp_path / "big.json", doc)
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert ("assign 6.96e+09 expected detections per 8192-pulse chunk, over the budget "
+            "of 2000000") in err and "Traceback" not in err
     assert not (tmp_path / "o" / "pulses.csv").exists()
 
 
@@ -486,6 +499,53 @@ def test_pipeline_tables_match_row_loop_oracle(tmp_path):
     assert report.converged and report.model.n_peaks >= 7
     for name, text in _tables_by_row_loops(report.model, hist).items():
         assert (out / name).read_bytes() == text.encode(), name
+
+
+# README "Determinism": `pipeline` on the shipped simulate.json (seed 16) and
+# fit.json writes these bytes
+SHIPPED_PIPELINE_SHA256 = {
+    "pulses.csv": "9da7a6aeb3d6c37a652ea2c58b4f85fa7316ee4c04c2cdeaeff52dad7d3b975a",
+    "histogram.csv": "9b706427cd22ec5ceba3d3e2b24f1186457a468355394e90c9aa342a371ce38f",
+    "fit_report.json": "36fb7f8fd192b2fabb55610b8cd662ba398ac2eec61245060d3997c370a9b002",
+    "analysis.json": "72674b79bf2556e67741dadac71fd22295fcd3f1761b19763d6b01e00fd6e0ec",
+    "fit_curve.csv": "3e2691199caaca9b021aea45319bfde6ad9d5353185317e4eb354c066fb71d53",
+    "errors_vs_n.csv": "d626d2496e413523848219ad589105c5a66627759d9c88f8622711626b07f50e",
+    "variance_vs_n.csv": "44cce5600c4b3538da8998e77374b6f6f1feac6896ac5af25666ad55089d52b3",
+}
+# `python -m pnr_lab ...`, then print the exit code and whether numpy.ma was imported
+RUN_MODULE = """import runpy, sys
+try:
+    runpy.run_module("pnr_lab", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    print(done.code, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.fixture(scope="module")
+def shipped_pipeline(tmp_path_factory):
+    """One `python -m pnr_lab pipeline` process on the shipped configs: its
+    output directory and the line RUN_MODULE printed."""
+    tmp = tmp_path_factory.mktemp("shipped")
+    cfg = write_config(tmp / "pipe.json", {
+        "simulate": json.loads((CONFIGS / "simulate.json").read_text()),
+        "fit": json.loads((CONFIGS / "fit.json").read_text())})
+    proc = subprocess.run([sys.executable, "-c", RUN_MODULE, "pipeline", cfg,
+                           "--out-dir", str(tmp / "out"), "--quiet"],
+                          capture_output=True, text=True, check=True)
+    return tmp / "out", proc.stdout.split()
+
+
+def test_pipeline_shipped_outputs_match_pinned_digests(shipped_pipeline):
+    out, (code, _) = shipped_pipeline
+    assert code == "0"
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in SHIPPED_PIPELINE_SHA256}
+    assert digests == SHIPPED_PIPELINE_SHA256
+
+
+def test_pipeline_does_not_import_numpy_ma(shipped_pipeline):
+    # np.median imports numpy.ma on its first call, ~15 ms of a CLI run
+    assert shipped_pipeline[1] == ["0", "False"]
 
 
 # ---------------------------------------------------------------- JSON writer

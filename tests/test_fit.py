@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnr_lab import (Constraint, FitConfig, FitSetupError, Histogram,
                      MixtureModel, SimConfig, expected_counts, fit_spectrum,
                      histogram_from_areas, init_guess, report_from_json,
                      report_to_json, run)
-from pnr_lab.fit import _Problem
+from pnr_lab.fit import _WIDTH_SCALES, _best_width_scale, _plateau_maxima, _Problem
 
 from conftest import (REF_ELEC_VAR, REF_EXTRA_VAR, REF_MULT_VAR, REF_SAT, REF_SPACING,
                       REF_X0, CATALOG_MEANS, CATALOG_STDS, law_stds)
@@ -69,6 +73,35 @@ def test_init_guess_needs_bins():
         init_guess(h, 2)
 
 
+def scalar_plateau_maxima(y, floor):
+    """Bin-by-bin reference scan: middle index of each run of equal values that
+    rises from the bin before it, falls to the bin after it and exceeds floor."""
+    y, found, a = list(y), [], 0
+    while a < len(y):
+        b = a
+        while b + 1 < len(y) and y[b + 1] == y[a]:
+            b += 1
+        if a > 0 and b < len(y) - 1 and y[a] > y[a - 1] and y[b] > y[b + 1] and y[a] > floor:
+            found.append((a + b) // 2)
+        a = b + 1
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=40), st.integers(0, 4))
+def test_plateau_maxima_match_scalar_scan(levels, floor):
+    # few distinct levels: plateaus, ties at either end and flat input are common
+    y = np.array(levels, dtype=float) / 3.0
+    assert _plateau_maxima(y, floor / 3.0).tolist() == scalar_plateau_maxima(y, floor / 3.0)
+
+
+def test_plateau_maxima_cases():
+    assert _plateau_maxima(np.full(6, 2.0), 0.0).tolist() == []
+    assert _plateau_maxima(np.array([0.0, 1, 1, 0, 2, 2, 2, 2]), 0.0).tolist() == [1]
+    assert _plateau_maxima(np.array([0.0, 3, 3, 3, 3, 1, 2, 0]), 1.5).tolist() == [2, 6]
+    assert _plateau_maxima(np.array([0.0, 3, 3, 3, 3, 1, 2, 0]), 2.0).tolist() == [2]
+
+
 # ---------------------------------------------------------------- machinery
 
 def test_free_parameter_counts():
@@ -79,6 +112,50 @@ def test_free_parameter_counts():
                          (Constraint.LINEAR_VARIANCE, 3 + 5)]:
         p = _Problem(h, kind, 3)
         assert p.n_params() == expect, kind
+
+
+def six_evaluate_scan(prob, p):
+    """The width scan as six separate `evaluate` calls, one per scale."""
+    sl = slice(3, 3 + prob.n_width)
+    mult = 2.0 if prob.variance_law else 1.0
+    best_p, best = p, None
+    for s in _WIDTH_SCALES:
+        q = p.copy()
+        q[sl] = q[sl] + mult * math.log(s)
+        ev = prob.evaluate(q)
+        if math.isfinite(ev[1]) and (best is None or ev[1] < best[1]):
+            best_p, best = q, ev
+    return best_p, best
+
+
+@pytest.mark.parametrize("kind", list(Constraint))
+@pytest.mark.parametrize("width, k", [(4.0, 4), (12.0, 5), (30.0, 6)])
+def test_width_scan_matches_six_evaluate_calls(kind, width, k):
+    model = MixtureModel.from_ladder(5.0, 100.0, 0.5, np.full(k, width),
+                                     np.linspace(1.0, 2.0, k) / np.linspace(1.0, 2.0, k).sum())
+    h = synthetic_hist(model, n=80_000, width=5.0, seed=4)
+    prob = _Problem(h, kind, k)
+    p = prob.pack(init_guess(h, k))
+    want_p, (want_r, want_obj, want_means, want_parts) = six_evaluate_scan(prob, p)
+    got_p, (r, obj, means, parts) = _best_width_scale(prob, p)
+    assert got_p.tobytes() == want_p.tobytes()
+    assert type(obj) is float and obj == want_obj
+    for got, want in [(r, want_r), (means, want_means), *zip(parts, want_parts)]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if width == 4.0:        # narrow peaks: a scaled start must win
+        assert got_p.tobytes() != p.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(Constraint))
+def test_width_scan_ties_keep_the_unscaled_start(kind):
+    h = synthetic_hist(MixtureModel.from_ladder(0, 100, 0, [8, 9, 10], [0.3, 0.4, 0.3]))
+    prob = _Problem(h, kind, 3)
+    p = prob.pack(init_guess(h, 3))
+    p[0] += 1e9             # every peak far off the data: all six objectives tie
+    want_p, want = six_evaluate_scan(prob, p)
+    got_p, got = _best_width_scale(prob, p)
+    assert got_p.tobytes() == want_p.tobytes() == p.tobytes()
+    assert got[1] == want[1]
 
 
 @pytest.mark.parametrize("kind, log_v0", [

@@ -2,6 +2,7 @@ import gzip
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,8 +13,8 @@ from pnr_lab import (CapacityError, DetectorModel, FormatError, SimConfig,
                      histogram_from_areas, read_histogram_csv, read_pulses_csv,
                      run, write_histogram_csv, write_pulses_csv)
 from pnr_lab import simulate
-from pnr_lab.simulate import (CHUNK_PULSES, MAX_BINS, MAX_POISSON_MEAN, MAX_PULSES,
-                              PULSE_DTYPE)
+from pnr_lab.simulate import (CHUNK_PULSES, MAX_BINS, MAX_CELL_DETECTIONS, MAX_POISSON_MEAN,
+                              MAX_PULSES, PULSE_DTYPE)
 
 
 def plain_model(**over):
@@ -183,6 +184,48 @@ def test_capacity_guard():
             SimConfig(model=plain_model(**{name: 1e9}), n_pulses=1, seed=0)
     SimConfig(model=plain_model(mean_photon_number=MAX_POISSON_MEAN,
                                 dark_rate_per_gate=MAX_POISSON_MEAN), n_pulses=1, seed=0)
+
+
+def test_capacity_guard_on_cell_assignment():
+    # at mean 1e6 one chunk would assign 8.2e9 cells, hundreds of GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"^cell_count saturation would assign 8.19e\+09 "
+                                                r"expected detections per 8192-pulse chunk"):
+            SimConfig(model=plain_model(mean_photon_number=1e6, quantum_efficiency=1.0,
+                                        cell_count=100), n_pulses=1, seed=0)
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
+    # the budget counts dark detections and the QE-thinned mean
+    edge = MAX_CELL_DETECTIONS / CHUNK_PULSES
+    SimConfig(model=plain_model(mean_photon_number=edge, quantum_efficiency=1.0,
+                                cell_count=100), n_pulses=1, seed=0)
+    with pytest.raises(CapacityError):
+        SimConfig(model=plain_model(mean_photon_number=edge, quantum_efficiency=1.0,
+                                    dark_rate_per_gate=1.0, cell_count=100), n_pulses=1, seed=0)
+    SimConfig(model=plain_model(mean_photon_number=2 * edge, quantum_efficiency=0.5,
+                                cell_count=100), n_pulses=1, seed=0)
+    # without cell_count the chunk holds counts, not cells
+    SimConfig(model=plain_model(mean_photon_number=1e6), n_pulses=1, seed=0)
+
+
+def test_poisson_tables_built_once_per_run(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    real = simulate._log_factorials
+    monkeypatch.setattr(simulate, "_log_factorials", counted)
+    cfg = SimConfig(model=plain_model(dark_rate_per_gate=0.3), n_pulses=3 * CHUNK_PULSES + 5, seed=8)
+    r1, h1 = run(cfg, workers=1)
+    assert len(calls) == 2          # one table per mean, not one per chunk and mean
+    r2, h2 = run(cfg, workers=2)
+    assert len(calls) == 4
+    assert r1.tobytes() == r2.tobytes()
+    assert h1.counts.tobytes() == h2.counts.tobytes()
 
 
 def test_histogram_refuses_grid_beyond_bin_budget():
