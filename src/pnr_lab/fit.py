@@ -91,12 +91,14 @@ def init_guess(hist: Histogram, n_peaks="auto") -> MixtureModel:
     """Heuristic starting model from the smoothed histogram.
 
     Prominent local maxima of the 5-bin moving average locate the ladder:
-    x0 sits on the first maximum, the spacing is the median gap between
-    successive maxima, all sigmas start at spacing/4, and weights are the
-    count mass between region midpoints.  `n_peaks` follows FitConfig's rule
-    ("auto" or a whole number >= 2); with "auto" the model gets two more
-    peaks than maxima found (weak high-number peaks rarely clear the
-    prominence cut).
+    x0 sits on the first maximum and the spacing is the median gap between
+    successive maxima.  The cuts midway between guessed peaks split the bins
+    into regions; each peak's weight is its region's count mass, and its
+    sigma the count-weighted standard deviation of its region, clipped to
+    [spacing/64, spacing/2] (spacing/4 for an empty region).  `n_peaks`
+    follows FitConfig's rule ("auto" or a whole number >= 2); with "auto" the
+    model gets two more peaks than maxima found (weak high-number peaks
+    rarely clear the prominence cut).
     """
     k = _peak_count(n_peaks)
     counts = hist.counts.astype(float)
@@ -119,17 +121,18 @@ def init_guess(hist: Histogram, n_peaks="auto") -> MixtureModel:
     spacing = float(gaps[half] if len(gaps) % 2 else (gaps[half - 1] + gaps[half]) / 2.0)
     k = len(prominent) + 2 if k == "auto" else k
 
-    # mass between midpoints of the guessed ladder -> starting weights
+    # count moments of each region about its guessed peak -> weights and sigmas
     ladder = x0 + spacing * np.arange(k)
-    cuts = np.concatenate([[-np.inf], 0.5 * (ladder[:-1] + ladder[1:]), [np.inf]])
-    idx = np.searchsorted(hist.centers, cuts)
-    cum = np.concatenate([[0.0], np.cumsum(counts)])
-    mass = np.maximum(cum[np.clip(idx[1:], 0, len(counts))] -
-                      cum[np.clip(idx[:-1], 0, len(counts))], 0.0)
+    region = np.searchsorted(0.5 * (ladder[:-1] + ladder[1:]), hist.centers, side="right")
+    dev = hist.centers - ladder[region]
+    mass = np.bincount(region, counts, k)
+    filled = np.maximum(mass, 1.0)             # counts are whole: 1 only divides a 0
+    mean = np.bincount(region, counts * dev, k) / filled
+    var = np.bincount(region, counts * dev * dev, k) / filled - mean * mean
+    sigmas = np.where(mass > 0, np.clip(np.sqrt(np.maximum(var, 0.0)),
+                                        spacing / 64.0, spacing / 2.0), spacing / 4.0)
     weights = np.maximum(mass / max(mass.sum(), 1.0), 1e-6)
     weights /= weights.sum()
-
-    sigmas = np.full(k, spacing / 4.0)
     return MixtureModel.from_ladder(x0, spacing, 0.0, sigmas, weights)
 
 
@@ -208,25 +211,22 @@ class _Problem:
         else:
             v_elec, v_0, v_m = sig[0] ** 2, floor, floor
         if v_m < floor and v_0 < floor:
-            # Flat sigma ladder (typical of a fresh init): a floor-sized slope
-            # leaves the optimizer stranded with everything in the electronic
-            # term, so spread the variance evenly across the components.
+            # Flat sigma ladder (a hand-written init with one width): a
+            # floor-sized slope leaves the optimizer stranded with everything
+            # in the electronic term, so spread the variance evenly across
+            # the components.
             v_elec = v_0 = mean_var / 3.0
             v_m = mean_var / (1.5 * k)       # v_m times the mean i, k/2, is mean_var/3
         else:
             v_0, v_m = max(v_0, floor), max(v_m, floor)
         return np.array(head + [math.log(v_elec), math.log(v_0), math.log(v_m)] + logits)
 
-    def sigmas(self, width: np.ndarray) -> np.ndarray:
-        """Peak widths from the width parameters p[3:3 + n_width]."""
-        if self.variance_law:
-            return np.sqrt(self.var_parts @ _bounded_exp(width))
-        return _bounded_exp(width)
-
     def unpack(self, p: np.ndarray):
         """-> (x0, spacing, sat, sigmas, weights, mu_or_None)"""
         x0, spacing, sat = p[0], p[1], p[2]
-        sig, tail = self.sigmas(p[3:3 + self.n_width]), p[3 + self.n_width:]
+        sig, tail = _bounded_exp(p[3:3 + self.n_width]), p[3 + self.n_width:]
+        if self.variance_law:
+            sig = np.sqrt(self.var_parts @ sig)
         if self.poisson:
             mu = float(_bounded_exp(tail[0]))
             w = _normalized_exp(_poisson_log_pmf(mu, self.log_factorials))
@@ -241,22 +241,14 @@ class _Problem:
 
     # -- objective and Jacobian ------------------------------------------
 
-    def means(self, x0, spacing, sat) -> np.ndarray:
-        return x0 + spacing * self.idx + sat * self.neg_idx_sq
-
-    def counts_model(self, p: np.ndarray):
-        """-> (model counts, peak means, the arrays `jacobian` takes after p)"""
-        x0, spacing, sat, sig, w, _ = self.unpack(p)
-        means = self.means(x0, spacing, sat)
-        pmat, z, phi = _interval_mass(self.edges, means, sig)
-        mix = pmat @ w                                       # per-bin model mass
-        return self.n_total * mix, means, (pmat, z, phi, sig, w, mix)
-
     def evaluate(self, p: np.ndarray):
         """-> (count residuals, objective, peak means, the arrays `jacobian` takes)"""
-        m, means, parts = self.counts_model(p)
-        r = self.counts - m
-        return r, float((self.wls * r * r).sum()), means, parts
+        x0, spacing, sat, sig, w, _ = self.unpack(p)
+        means = x0 + spacing * self.idx + sat * self.neg_idx_sq
+        pmat, z, phi = _interval_mass(self.edges, means, sig)
+        mix = pmat @ w                                       # per-bin model mass
+        r = self.counts - self.n_total * mix
+        return r, float((self.wls * r * r).sum()), means, (pmat, z, phi, sig, w, mix)
 
     def jacobian(self, p: np.ndarray, pmat, z, phi, sig, w, mix) -> np.ndarray:
         n_width = self.n_width
@@ -307,42 +299,6 @@ def _window_excess(means: np.ndarray, edges: np.ndarray) -> float:
     return max(0.0, (lo - span) - min(m)) + max(0.0, max(m) - (hi + span))
 
 
-_WIDTH_SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625, 2.0)
-
-
-def _best_width_scale(prob: _Problem, p: np.ndarray):
-    """Coarse scan over a global peak-width multiplier before iterating.
-
-    The automatic init sets every width to a quarter of the peak spacing;
-    when the true peaks are much narrower than that, the damped iteration
-    starts in a basin where fattening one component beats narrowing all of
-    them.  Objective evaluations at scaled widths put the start on the right
-    side of that ridge.  Only the widths differ between the starts, so one
-    `_interval_mass` call covers them all: columns j*K .. j*K + K - 1 of its
-    (bins + 1) x 6K block are the peaks of start j, and each start's
-    objective and `evaluate` parts are computed as `evaluate` computes them.
-    Ties keep the unscaled start.  Returns the start and its `evaluate`.
-    """
-    k, sl = prob.k, slice(3, 3 + prob.n_width)
-    mult = 2.0 if prob.variance_law else 1.0  # variance parameters: scale by s**2
-    starts = np.repeat(p[None, :], len(_WIDTH_SCALES), axis=0)
-    starts[:, sl] += np.array([[mult * math.log(s)] for s in _WIDTH_SCALES])
-    x0, spacing, sat, _, w, _ = prob.unpack(p)
-    means = prob.means(x0, spacing, sat)
-    sigs = [prob.sigmas(q[sl]) for q in starts]
-    pmat, z, phi = _interval_mass(prob.edges, np.tile(means, len(sigs)), np.concatenate(sigs))
-    cols = [slice(j * k, j * k + k) for j in range(len(sigs))]
-    mix = np.stack([pmat[:, c] @ w for c in cols])
-    r = prob.counts - prob.n_total * mix
-    objs = (prob.wls * r * r).sum(axis=1).tolist()
-    finite = [j for j, obj in enumerate(objs) if math.isfinite(obj)]
-    if not finite:
-        return p, prob.evaluate(p)
-    j = min(finite, key=objs.__getitem__)          # the first of equal minima
-    c = cols[j]
-    return starts[j], (r[j], objs[j], means, (pmat[:, c], z[:, c], phi[:, c], sigs[j], w, mix[j]))
-
-
 # ---------------------------------------------------------------------------
 # the damped least-squares loop
 # ---------------------------------------------------------------------------
@@ -375,10 +331,7 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
 
     warnings = []
     p = prob.pack(init)
-    if cfg.init is None:
-        p, (r, obj, means, parts) = _best_width_scale(prob, p)
-    else:
-        r, obj, means, parts = prob.evaluate(p)
+    r, obj, means, parts = prob.evaluate(p)
 
     excess = _window_excess(means, prob.edges)
     lam = 1e-3

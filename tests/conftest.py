@@ -10,7 +10,7 @@ firing-noise variance 246, electronic variance 112.36) reproduce that ladder.
 import numpy as np
 import pytest
 
-from pnr_lab import Constraint, DetectorModel, MixtureModel
+from pnr_lab import Constraint, DetectorModel, MixtureModel, histogram_from_areas
 
 # catalog of the seven fitted peaks (photon number, center, width)
 CATALOG_MEANS = [0.0, 135.0, 275.0, 416.0, 561.0, 709.0, 859.0]
@@ -60,3 +60,23 @@ def law_model():
     return MixtureModel.from_ladder(REF_X0, REF_SPACING, REF_SAT, law_stds(7),
                                     np.full(7, 1 / 7),
                                     constraint_kind=Constraint.LINEAR_VARIANCE)
+
+
+# 12 peaks 100 apart, 25 wide, equal weights: a start with more peaks than data
+RANK_DEFICIENT_INIT = {"x0": 0.0, "delta": 100.0, "sat": 0.0,
+                       "stds": [25.0] * 12, "weights": [1 / 12] * 12}
+
+
+@pytest.fixture
+def rank_deficient_case():
+    """A two-peak spectrum and a 12-peak init whose ladder runs far past the
+    data, so the Jacobian columns of the outer peaks are identically zero.
+    The uniform background only supplies enough nonempty bins to run the fit.
+    -> (histogram, init model)"""
+    rng = np.random.default_rng(23)
+    areas = np.concatenate([rng.normal(0.0, 5.0, 30_000),
+                            rng.normal(100.0, 5.0, 30_000),
+                            rng.uniform(-150.0, 400.0, 4_000)])
+    d = RANK_DEFICIENT_INIT
+    init = MixtureModel.from_ladder(d["x0"], d["delta"], d["sat"], d["stds"], d["weights"])
+    return histogram_from_areas(areas, 2.0), init

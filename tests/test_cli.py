@@ -21,7 +21,7 @@ from pnr_lab import (EfficiencyInput, FitConfig, Histogram, MixtureModel, __vers
                      variance_law, write_histogram_csv)
 from pnr_lab.cli import _json, main
 
-from conftest import REF_MULT_VAR, law_stds
+from conftest import RANK_DEFICIENT_INIT, REF_MULT_VAR, law_stds
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SIM_MODEL = {
@@ -332,6 +332,26 @@ def test_fit_empty_histogram_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_fit_rank_deficiency_warning_on_stderr(tmp_path, capsys, rank_deficient_case):
+    hist, init = rank_deficient_case
+    path = tmp_path / "hist.csv"
+    write_histogram_csv(path, hist)
+    fit_cfg = write_config(tmp_path / "fit.json", {
+        "n_peaks": 12, "constraint": "free", "max_iterations": 40,
+        "init": RANK_DEFICIENT_INIT})
+    code = main(["fit", str(path), fit_cfg, "--out-dir", str(tmp_path / "o"), "--quiet"])
+    # this start stalls at iteration 2: exit 4, with the report still written
+    report = json.loads((tmp_path / "o" / "fit_report.json").read_text())
+    assert code == 4 and report["converged"] is False
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("warning: ")] == \
+        [f"warning: {w}" for w in report["warnings"]]
+    assert "warning: rank_deficient: " in err
+    # the config's init is the library's init: the same fit, bit for bit
+    want = fit_spectrum(hist, FitConfig(n_peaks=12, max_iterations=40, init=init))
+    assert report == json.loads(_json(report_to_json(want)))
+
+
 # ---------------------------------------------------------------- analyze
 
 def test_analyze_command(tmp_path, sim_config):
@@ -506,11 +526,11 @@ def test_pipeline_tables_match_row_loop_oracle(tmp_path):
 SHIPPED_PIPELINE_SHA256 = {
     "pulses.csv": "9da7a6aeb3d6c37a652ea2c58b4f85fa7316ee4c04c2cdeaeff52dad7d3b975a",
     "histogram.csv": "9b706427cd22ec5ceba3d3e2b24f1186457a468355394e90c9aa342a371ce38f",
-    "fit_report.json": "36fb7f8fd192b2fabb55610b8cd662ba398ac2eec61245060d3997c370a9b002",
-    "analysis.json": "72674b79bf2556e67741dadac71fd22295fcd3f1761b19763d6b01e00fd6e0ec",
-    "fit_curve.csv": "3e2691199caaca9b021aea45319bfde6ad9d5353185317e4eb354c066fb71d53",
-    "errors_vs_n.csv": "d626d2496e413523848219ad589105c5a66627759d9c88f8622711626b07f50e",
-    "variance_vs_n.csv": "44cce5600c4b3538da8998e77374b6f6f1feac6896ac5af25666ad55089d52b3",
+    "fit_report.json": "7eebb12886cd9ce217f96f337f2ba2dbc3a17b6f53286e6f8925757228f9e574",
+    "analysis.json": "ebbe9a52d7a3bb17939cff2ea5545e37e7f199feb71dc085b93082eadf8e052f",
+    "fit_curve.csv": "dc86c986ac723daa1c0d2da058540a322978b1c3a895416103508abf5d386c98",
+    "errors_vs_n.csv": "936b94cdca2853ee967c173a34027519ed7baa8719124a674f75f8fa66ec9403",
+    "variance_vs_n.csv": "3895721d75ad8ce7ac33f81b4cd574ca703c38f6e8911f8769001e358bf13a4b",
 }
 # `python -m pnr_lab ...`, then print the exit code and whether numpy.ma was imported
 RUN_MODULE = """import runpy, sys

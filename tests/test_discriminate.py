@@ -167,6 +167,16 @@ def test_scheme_from_weights_far_apart_peaks():
         50.0 + math.log(9.0) / 100.0, abs=1e-9)
 
 
+def test_scheme_from_weights_no_crossing_anywhere():
+    # a light narrow peak inside a heavy wide one: the weighted densities
+    # never cross, so the crossing's quadratic has a negative radicand
+    w = 1.0 / (1.0 + math.exp(5.0))         # ln(w / (1 - w)) = -5
+    m = MixtureModel.from_peaks([0.0, 3.0], [1.0, 10.0], [w, 1.0 - w])
+    with pytest.raises(NoIntersectionError, match=r"^no density intersection for peaks "
+                                                  r"at 0\.0 and 3\.0 \(radicand -5\.251e\+02\)$"):
+        build_scheme(m, "from-weights")
+
+
 def test_scheme_rejects_bad_inputs(catalog_model):
     with pytest.raises(InvalidModelError):
         build_scheme(MixtureModel.from_peaks([0.0, 100.0, 50.0],

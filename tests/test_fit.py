@@ -1,15 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pnr_lab import (Constraint, FitConfig, FitSetupError, Histogram,
                      MixtureModel, SimConfig, expected_counts, fit_spectrum,
                      histogram_from_areas, init_guess, report_from_json,
                      report_to_json, run)
-from pnr_lab.fit import _WIDTH_SCALES, _best_width_scale, _plateau_maxima, _Problem
+from pnr_lab.fit import _plateau_maxima, _Problem
 
 from conftest import (REF_ELEC_VAR, REF_EXTRA_VAR, REF_MULT_VAR, REF_SAT, REF_SPACING,
                       REF_X0, CATALOG_MEANS, CATALOG_STDS, law_stds)
@@ -73,6 +74,53 @@ def test_init_guess_needs_bins():
         init_guess(h, 2)
 
 
+def region_masses(hist, guess):
+    """Counts between the midpoints of the guess's ladder, bin by bin."""
+    ladder = guess.x0 + guess.spacing * np.arange(guess.n_peaks)
+    cuts = [-math.inf, *(0.5 * (ladder[:-1] + ladder[1:])), math.inf]
+    return [sum(int(c) for c, x in zip(hist.counts, hist.centers) if lo <= x < hi)
+            for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 60), min_size=8, max_size=60),
+       st.one_of(st.just("auto"), st.integers(2, 12)), st.floats(0.5, 20.0))
+def test_init_guess_widths_are_clipped_region_spreads(counts, n_peaks, bin_width):
+    h = Histogram(bin_edges=bin_width * np.arange(len(counts) + 1),
+                  counts=np.array(counts), total_pulses=sum(counts))
+    try:
+        g = init_guess(h, n_peaks)
+    except FitSetupError:
+        assume(False)
+    sig, d, masses = g.std_devs(), g.spacing, region_masses(h, g)
+    w = np.maximum(np.array(masses) / sum(masses), 1e-6)
+    assert np.allclose(g.weights(), w / w.sum(), rtol=1e-12, atol=0)
+    for j, mass in enumerate(masses):
+        if mass == 0:
+            assert sig[j] == d / 4
+        else:
+            assert d / 64 <= sig[j] <= d / 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.floats(60.0, 250.0), st.floats(-50.0, 50.0),
+       st.floats(0.04, 0.08), st.floats(0.0, 0.04), st.data())
+def test_init_guess_widths_match_a_clean_ladder(k, spacing, x0, elec_rel, mult_rel, data):
+    # widths grow as the variance law does, up to spacing * 0.12: every region
+    # holds its own peak to beyond 4 sigma
+    i = np.arange(k)
+    true_sig = spacing * np.sqrt(elec_rel**2 + i * mult_rel**2)
+    w = np.array(data.draw(st.lists(st.floats(0.25, 1.0), min_size=k, max_size=k)))
+    model = MixtureModel.from_ladder(x0, spacing, 0.0, true_sig, w / w.sum())
+    edges = x0 - spacing + spacing / 40 * np.arange(40 * (k + 1) + 1)
+    counts = np.round(expected_counts(model, edges, 50_000)[1]).astype(int)
+    h = Histogram(bin_edges=edges, counts=counts, total_pulses=int(counts.sum()))
+    g = init_guess(h, k)
+    for j, mass in enumerate(region_masses(h, g)):
+        if mass >= 1000:
+            assert g.std_devs()[j] == pytest.approx(true_sig[j], rel=0.2)
+
+
 def scalar_plateau_maxima(y, floor):
     """Bin-by-bin reference scan: middle index of each run of equal values that
     rises from the bin before it, falls to the bin after it and exceeds floor."""
@@ -114,50 +162,6 @@ def test_free_parameter_counts():
         assert p.n_params() == expect, kind
 
 
-def six_evaluate_scan(prob, p):
-    """The width scan as six separate `evaluate` calls, one per scale."""
-    sl = slice(3, 3 + prob.n_width)
-    mult = 2.0 if prob.variance_law else 1.0
-    best_p, best = p, None
-    for s in _WIDTH_SCALES:
-        q = p.copy()
-        q[sl] = q[sl] + mult * math.log(s)
-        ev = prob.evaluate(q)
-        if math.isfinite(ev[1]) and (best is None or ev[1] < best[1]):
-            best_p, best = q, ev
-    return best_p, best
-
-
-@pytest.mark.parametrize("kind", list(Constraint))
-@pytest.mark.parametrize("width, k", [(4.0, 4), (12.0, 5), (30.0, 6)])
-def test_width_scan_matches_six_evaluate_calls(kind, width, k):
-    model = MixtureModel.from_ladder(5.0, 100.0, 0.5, np.full(k, width),
-                                     np.linspace(1.0, 2.0, k) / np.linspace(1.0, 2.0, k).sum())
-    h = synthetic_hist(model, n=80_000, width=5.0, seed=4)
-    prob = _Problem(h, kind, k)
-    p = prob.pack(init_guess(h, k))
-    want_p, (want_r, want_obj, want_means, want_parts) = six_evaluate_scan(prob, p)
-    got_p, (r, obj, means, parts) = _best_width_scale(prob, p)
-    assert got_p.tobytes() == want_p.tobytes()
-    assert type(obj) is float and obj == want_obj
-    for got, want in [(r, want_r), (means, want_means), *zip(parts, want_parts)]:
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    if width == 4.0:        # narrow peaks: a scaled start must win
-        assert got_p.tobytes() != p.tobytes()
-
-
-@pytest.mark.parametrize("kind", list(Constraint))
-def test_width_scan_ties_keep_the_unscaled_start(kind):
-    h = synthetic_hist(MixtureModel.from_ladder(0, 100, 0, [8, 9, 10], [0.3, 0.4, 0.3]))
-    prob = _Problem(h, kind, 3)
-    p = prob.pack(init_guess(h, 3))
-    p[0] += 1e9             # every peak far off the data: all six objectives tie
-    want_p, want = six_evaluate_scan(prob, p)
-    got_p, got = _best_width_scale(prob, p)
-    assert got_p.tobytes() == want_p.tobytes() == p.tobytes()
-    assert got[1] == want[1]
-
-
 @pytest.mark.parametrize("kind, log_v0", [
     pytest.param(Constraint.FREE_WEIGHTS_FREE_SIGMAS, None, id="free"),
     pytest.param(Constraint.POISSON_WEIGHTS, None, id="poisson"),
@@ -174,13 +178,17 @@ def test_jacobian_matches_finite_differences(kind, log_v0):
     p0 = prob.pack(init_guess(h, 3))
     if log_v0 is not None:
         p0[4] = log_v0
-    _, _, parts = prob.counts_model(p0)
+    *_, parts = prob.evaluate(p0)
     jac = prob.jacobian(p0, *parts)
+
+    def model_counts(p):
+        return prob.counts - prob.evaluate(p)[0]
+
     step = 1e-6
     for j in range(prob.n_params()):
         up = p0.copy(); up[j] += step
         dn = p0.copy(); dn[j] -= step
-        num = (prob.counts_model(up)[0] - prob.counts_model(dn)[0]) / (2 * step)
+        num = (model_counts(up) - model_counts(dn)) / (2 * step)
         scale = max(np.abs(num).max(), 1.0)
         assert np.allclose(jac[:, j], num, atol=5e-4 * scale), f"column {j}"
     if log_v0 is not None:
@@ -283,19 +291,15 @@ def test_non_convergence_is_reported_not_raised(law_model):
     assert np.isfinite(rep.objective)
 
 
-def test_rank_deficiency_warning():
-    # 12 requested peaks on a two-peak spectrum: the ladder extends far past
-    # the data, so the columns for the outer peaks are identically zero.  The
-    # uniform background only supplies enough nonempty bins to run the fit.
-    rng = np.random.default_rng(23)
-    areas = np.concatenate([rng.normal(0.0, 5.0, 30_000),
-                            rng.normal(100.0, 5.0, 30_000),
-                            rng.uniform(-150.0, 400.0, 4_000)])
-    h = histogram_from_areas(areas, 2.0)
-    init = MixtureModel.from_ladder(0.0, 100.0, 0.0, np.full(12, 25.0),
-                                    np.full(12, 1 / 12))
+def test_rank_deficiency_warning(rank_deficient_case):
+    h, init = rank_deficient_case
     rep = fit_spectrum(h, FitConfig(n_peaks=12, init=init, max_iterations=40))
     assert any("rank" in w for w in rep.warnings)
+    # the warning reaches the report's JSON form and comes back from it
+    doc = report_to_json(rep)
+    assert doc["warnings"] == list(rep.warnings)
+    assert doc["warnings"][0].startswith("rank_deficient: ")
+    assert report_from_json(json.loads(json.dumps(doc))).warnings == rep.warnings
 
 
 def test_empty_histogram_rejected():
@@ -309,8 +313,11 @@ def test_too_few_nonempty_bins_rejected():
     h = Histogram(bin_edges=np.linspace(0, 12, 13),
                   counts=np.array([0, 9, 7, 0, 0, 0, 0, 8, 6, 0, 0, 0]),
                   total_pulses=30)
-    with pytest.raises(FitSetupError):
-        fit_spectrum(h, FitConfig(n_peaks=3))
+    # an explicit init: init_guess would refuse this histogram first
+    init = MixtureModel.from_ladder(1.5, 6.0, 0.0, [1.0, 1.0, 1.0], [0.4, 0.3, 0.3])
+    with pytest.raises(FitSetupError, match="4 nonempty bins cannot support 8 free "
+                                            r"parameters \(need at least 32\)"):
+        fit_spectrum(h, FitConfig(n_peaks=3, init=init))
 
 
 def test_init_and_n_peaks_must_agree(law_model):

@@ -301,7 +301,7 @@ PULSE_HEAD = "# pnr-lab v1\ntrue_incident,true_detected,area\n"
 # "default" overrides the suite's warnings-as-errors, so the refusals below
 # are the readers' own and not an artefact of the test configuration
 @pytest.mark.filterwarnings("default")
-@pytest.mark.parametrize("body", [
+@pytest.mark.parametrize("text", [PULSE_HEAD + body for body in [
     "1,2\n",
     "1,2,100.5,7\n",
     "1,2,100.5,\n",
@@ -312,12 +312,13 @@ PULSE_HEAD = "# pnr-lab v1\ntrue_incident,true_detected,area\n"
     "1,2,100.5\n# note\n3,3,400.0\n",
     "1,2,1_000.5\n",
     "99999999999999999999,2,100.5\n",
-], ids=["two_fields", "four_fields", "trailing_comma", "float_count",
-        "fractional_count", "exponent_count", "non_numeric_area", "comment_in_body",
-        "underscore_float", "beyond_int64"])
-def test_pulse_csv_malformed_row_is_format_error(tmp_path, body):
+]] + ["# pnr-lab v1\ntrue_incident,area,true_detected\n1,100.5,2\n"],
+    ids=["two_fields", "four_fields", "trailing_comma", "float_count",
+         "fractional_count", "exponent_count", "non_numeric_area", "comment_in_body",
+         "underscore_float", "beyond_int64", "wrong_columns"])
+def test_pulse_csv_malformed_row_is_format_error(tmp_path, text):
     p = tmp_path / "bad.csv"
-    p.write_text(PULSE_HEAD + body)
+    p.write_text(text)
     with pytest.raises(FormatError, match=re.escape(str(p))):
         read_pulses_csv(p)
 
@@ -361,9 +362,10 @@ def test_pulse_csv_header_only_is_empty_without_warning(tmp_path):
     "# pnr-lab v1\n# total_pulses=1_0\nbin_left,bin_right,count\n0.0,1.0,4\n1.0,2.0,5\n",
     "# pnr-lab v1\n# total_pulses=99999999999999999999\n"
     "bin_left,bin_right,count\n0.0,1.0,4\n1.0,2.0,5\n",
+    "# pnr-lab v1\n# total_pulses=9\nbin_left,bin_right,counts\n0.0,1.0,4\n1.0,2.0,5\n",
 ], ids=["bad_meta_value", "bad_count", "fractional_count", "beyond_int64", "two_fields",
         "no_bins", "negative_count", "negative_underflow", "tallies_exceed_total",
-        "underscore_meta_value", "meta_beyond_int64"])
+        "underscore_meta_value", "meta_beyond_int64", "wrong_columns"])
 def test_histogram_csv_malformed_is_format_error(tmp_path, text):
     p = tmp_path / "bad.csv"
     p.write_text(text)
