@@ -170,13 +170,19 @@ def classify(area, scheme: DecisionScheme):
     """Photon number decided for a pulse area (scalar or array).
 
     Region i is (t_i, t_{i+1}] with t_0 = -inf, t_K = +inf: an area exactly
-    on a threshold belongs to the lower region.  Total over all real inputs.
+    on a threshold belongs to the lower region.  The region is a count: the
+    number of thresholds strictly below the area, i.e. K-1 less the number
+    at or above it, taken in one comparison pass per threshold (no branch
+    per pulse, as a binary search has).  NaN is at or above no threshold,
+    so it goes to the top region.  A non-numeric area raises ValueError.
     """
-    thr = np.asarray(scheme.thresholds)
-    idx = np.searchsorted(thr, area, side="left")
-    if np.isscalar(area):
-        return int(idx)
-    return idx.astype(np.int64)
+    thr = scheme.thresholds
+    a = np.asarray(area, dtype=float)
+    above = np.zeros(a.shape, dtype=np.min_scalar_type(len(thr)))
+    for t in thr:
+        above += a <= t
+    idx = np.subtract(len(thr), above, dtype=np.int64)
+    return int(idx) if np.isscalar(area) else idx
 
 
 def one_vs_many_error(model: MixtureModel, priors) -> float:

@@ -307,8 +307,9 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
     """Fit the histogram under the configured constraint regime.
 
     Non-convergence is reported, never silently swallowed: the report comes
-    back with converged=False after max_iterations (or a dead-end damping
-    escalation), and the model is the best point reached.
+    back with converged=False after max_iterations, or after a dead-end
+    damping escalation that a "stalled: " warning names, and the model is
+    the best point reached.
     """
     if hist.counts.sum() == 0:
         raise FitSetupError("histogram has no counts")
@@ -383,8 +384,10 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
                 lam *= 10.0
                 continue
             break
-        else:
-            break                   # no damping gives an acceptable step
+        else:                       # no damping gives an acceptable step
+            warnings.append(f"stalled: no damping up to 1e12 lowers the objective "
+                            f"{obj:.10g} at iteration {iterations}")
+            break
         rel_drop = (obj - obj2) / max(obj, 1e-300)
         p, parts, r, obj, excess = p_try, parts2, r2, obj2, excess2
         lam = max(lam / 10.0, 1e-12)

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DetectorModel, Histogram, _log_factorials, _poisson_log_pmf, _whole, substream
+from .core import (DetectorModel, Histogram, _finite, _log_factorials, _poisson_log_pmf, _whole,
+                   substream)
 
 __all__ = [
     "CHUNK_PULSES",
@@ -104,8 +105,8 @@ class SimConfig:
         if isinstance(self.bin_width, str):
             if self.bin_width != "auto":
                 raise ValueError(f"bin_width must be a positive number or 'auto', got {self.bin_width!r}")
-        elif self.bin_width <= 0:
-            raise ValueError("bin_width must be > 0")
+        else:
+            _finite("bin_width", self.bin_width, above=0)
 
     @property
     def resolved_bin_width(self) -> float:
@@ -214,8 +215,7 @@ def histogram_from_areas(areas: np.ndarray, bin_width: float) -> Histogram:
     areas = np.asarray(areas, dtype=float)
     if len(areas) == 0:
         raise ValueError("cannot histogram zero pulses")
-    if bin_width <= 0:
-        raise ValueError("bin_width must be > 0")
+    _finite("bin_width", bin_width, above=0)
     low, high = float(areas.min()), float(areas.max())
     if not (math.isfinite(low) and math.isfinite(high)):
         n_bad = np.count_nonzero(~np.isfinite(areas))

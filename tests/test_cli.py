@@ -172,6 +172,21 @@ def test_simulate_boolean_number_exit_2(tmp_path, capsys, field, value, message)
     assert not (tmp_path / "o" / "pulses.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+def test_non_finite_bin_width_exit_2(tmp_path, capsys, monkeypatch, command, value):
+    # refused where the config is read: before one pulse is drawn (NaN once
+    # simulated every pulse, then failed in the histogram's budget check)
+    monkeypatch.setattr("pnr_lab.cli.run", lambda *a, **k: pytest.fail("pulses drawn"))
+    sim = {"model": dict(SIM_MODEL), "n_pulses": 2000, "seed": 16, "bin_width": value}
+    doc = sim if command == "simulate" else {"simulate": sim, "fit": dict(FIT_DOC)}
+    cfg = write_config(tmp_path / "bin.json", doc)
+    assert main([command, cfg, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
+    out, err = capsys.readouterr()
+    assert f"bin_width must be a finite number > 0, got {value!r}" in err and out == ""
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("field, extra", [
     ("max_iterations", {"max_iterations": True}),
     ("x0", {"init": {"x0": True, "delta": 135.0, "stds": [10.0] * 5, "weights": [0.2] * 5}}),
@@ -347,6 +362,7 @@ def test_fit_rank_deficiency_warning_on_stderr(tmp_path, capsys, rank_deficient_
     assert [line for line in err.splitlines() if line.startswith("warning: ")] == \
         [f"warning: {w}" for w in report["warnings"]]
     assert "warning: rank_deficient: " in err
+    assert "warning: stalled: no damping up to 1e12 lowers the objective " in err
     # the config's init is the library's init: the same fit, bit for bit
     want = fit_spectrum(hist, FitConfig(n_peaks=12, max_iterations=40, init=init))
     assert report == json.loads(_json(report_to_json(want)))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pnr_lab import (
     ConfusionMatrix,
+    DecisionScheme,
     DetectorModel,
     InvalidModelError,
     MixtureModel,
@@ -255,6 +256,54 @@ def test_classify_against_simulation(ref_detector):
         pred = sch.error_per_number[i] / 7
         se = math.sqrt(max(pred * (1 - pred), 1e-12) / n)
         assert abs(rate - pred) <= 3 * se, f"region {i}: {rate} vs {pred}"
+
+
+_thresholds = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=100,
+                       unique=True).map(sorted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(thr=_thresholds, more=st.lists(st.floats(), max_size=20), pick=st.integers(0, 2 ** 16))
+def test_classify_is_searchsorted_left(thr, more, pick):
+    # every threshold, its neighbours either side, signed zeros, infinities
+    # and NaN, beside any other floats: the oracle is a left binary search
+    k = len(thr) + 1
+    sch = DecisionScheme(thresholds=tuple(thr), priors=(1.0 / k,) * k,
+                         error_per_number=(0.0,) * k)
+    t = np.array(thr)
+    areas = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                            [0.0, -0.0, np.inf, -np.inf, np.nan], more])
+    want = np.searchsorted(t, areas, side="left")
+    kept = areas.copy()
+    got = classify(areas, sch)
+    assert type(got) is np.ndarray and got.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert areas.tobytes() == kept.tobytes()        # the input is only read
+    again = classify(areas, sch)
+    assert again is not got and not np.shares_memory(again, got)
+    assert not np.shares_memory(got, areas)
+    grid = areas[:len(areas) // 2 * 2].reshape(2, -1)
+    got2 = classify(grid, sch)
+    assert got2.dtype == np.int64 and np.array_equal(got2, want[:grid.size].reshape(2, -1))
+    as_list = classify(areas.tolist(), sch)
+    assert type(as_list) is np.ndarray and as_list.dtype == np.int64
+    assert np.array_equal(as_list, want)
+    # one area, as a 0-d array (a numpy integer back, as from searchsorted),
+    # a Python float or a numpy scalar (a Python int back)
+    i = pick % len(areas)
+    zero_d = classify(np.array(areas[i]), sch)
+    assert type(zero_d) is np.int64 and zero_d == want[i]
+    for one in (float(areas[i]), areas[i]):
+        got1 = classify(one, sch)
+        assert type(got1) is int and got1 == want[i]
+
+
+def test_classify_refuses_non_numeric_areas(catalog_model):
+    sch = build_scheme(catalog_model, "equal")
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        classify("abc", sch)
+    with pytest.raises(ValueError):
+        classify(["1.0", "x"], sch)
 
 
 # ---------------------------------------------------------------- one vs many

@@ -295,10 +295,16 @@ def test_rank_deficiency_warning(rank_deficient_case):
     h, init = rank_deficient_case
     rep = fit_spectrum(h, FitConfig(n_peaks=12, init=init, max_iterations=40))
     assert any("rank" in w for w in rep.warnings)
-    # the warning reaches the report's JSON form and comes back from it
+    # no damping lowers the objective at iteration 2: the stop is named after
+    # the rank warning, with the iteration and the objective it stopped at
+    assert not rep.converged and rep.iterations == 2
+    assert rep.warnings[1] == ("stalled: no damping up to 1e12 lowers the objective "
+                               f"{rep.objective:.10g} at iteration 2")
+    # the warnings reach the report's JSON form and come back from it
     doc = report_to_json(rep)
     assert doc["warnings"] == list(rep.warnings)
     assert doc["warnings"][0].startswith("rank_deficient: ")
+    assert doc["warnings"][1].startswith("stalled: ")
     assert report_from_json(json.loads(json.dumps(doc))).warnings == rep.warnings
 
 

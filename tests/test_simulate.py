@@ -166,6 +166,16 @@ def test_histogram_refuses_non_finite_areas(tmp_path, bad):
         histogram_from_areas(areas, 1.0)
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf, -math.inf], ids=repr)
+def test_bin_width_must_be_finite_and_positive(width):
+    # both places a width enters: the run's config and the binning itself
+    message = f"^bin_width must be a finite number > 0, got {re.escape(repr(width))}$"
+    with pytest.raises(ValueError, match=message):
+        histogram_from_areas(np.array([1.0, 2.0]), width)
+    with pytest.raises(ValueError, match=message):
+        SimConfig(model=plain_model(), n_pulses=100, seed=1, bin_width=width)
+
+
 def test_auto_bin_width_tracks_gain():
     cfg = SimConfig(model=plain_model(gain_per_photon=120.0), n_pulses=100,
                     seed=2)
