@@ -134,9 +134,9 @@ def _interval_mass(edges, means: np.ndarray, sigmas: np.ndarray):
 def _finite(name: str, value, above=None) -> None:
     """Refuse `value` unless it is a finite real number, and above `above` when
     that is given.  JSON's NaN and Infinity, which Python's reader accepts,
-    are refused."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
-            and (above is None or value > above)):
+    are refused, and so are bools."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)
+                                       and (above is None or value > above)):
         bound = "" if above is None else f" > {above}"
         raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 

@@ -8,7 +8,11 @@ with the bin probability computed as the Gaussian CDF difference across the
 bin (correct for wide bins, unlike a midpoint-density approximation).  The
 minimizer is a damped (Levenberg-Marquardt style) iteration: damping scales
 x10 on a rejected step and /10 on an accepted one, and a step is never
-accepted if it increases the objective.
+accepted if it increases the objective.  It stops once a step accepted at
+damping <= 1e-4 leaves no parameter able to move `tolerance` standard errors:
+the predicted drop d^2 = step.(2g - H step), H = J^T W J and g = J^T W r,
+bounds each |step_i| by d sigma_i, sigma_i^2 = [H^-1]_ii.  An actual drop of
+(1+q) d^2 says later steps shrink by q: stop at d < tolerance*min(1, 1-q).
 
 Three constraint regimes, all sharing the mean ladder x_i = x0 + i*D - i^2*a:
 
@@ -64,11 +68,13 @@ class FitConfig:
     n_peaks: int | str = "auto"
     constraint: Constraint = Constraint.FREE_WEIGHTS_FREE_SIGMAS
     max_iterations: int = 500
-    tolerance: float = 1e-9
+    tolerance: float = 0.01      # in standard errors; see the module docstring
     init: MixtureModel | None = None
 
     def __post_init__(self):
         _finite("tolerance", self.tolerance, above=0)
+        if self.tolerance < 1e-3:
+            raise ValueError(f"tolerance is in standard errors, >= 0.001; got {self.tolerance!r}")
         object.__setattr__(self, "n_peaks", _peak_count(self.n_peaks))
         object.__setattr__(self, "max_iterations",
                            _whole("max_iterations", self.max_iterations, 1))
@@ -388,12 +394,12 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
             warnings.append(f"stalled: no damping up to 1e12 lowers the objective "
                             f"{obj:.10g} at iteration {iterations}")
             break
-        rel_drop = (obj - obj2) / max(obj, 1e-300)
+        drop, dec = obj - obj2, step @ (2.0 * grad - hess @ step)
         p, parts, r, obj, excess = p_try, parts2, r2, obj2, excess2
-        lam = max(lam / 10.0, 1e-12)
-        if rel_drop < cfg.tolerance:
+        if lam <= 1e-4 and dec > 0 and math.sqrt(dec) < cfg.tolerance * min(1.0, 2.0 - drop / dec):
             converged = True
             break
+        lam = max(lam / 10.0, 1e-12)
 
     return FitReport(model=prob.to_model(p), objective=obj, iterations=iterations,
                      converged=converged, warnings=tuple(warnings))

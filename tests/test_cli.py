@@ -201,6 +201,15 @@ def test_fit_boolean_number_exit_2(tmp_path, sim_config, capsys, field, extra):
     assert f"{field} must be {rule}" in capsys.readouterr().err
 
 
+def test_fit_tolerance_below_its_floor_exit_2(tmp_path, sim_config, capsys):
+    _, out = run_sim(tmp_path, sim_config)
+    fit_cfg = write_config(tmp_path / "fit.json", dict(FIT_DOC, tolerance=1e-9))
+    assert main(["fit", str(out / "histogram.csv"), fit_cfg,
+                 "--out-dir", str(tmp_path / "fit"), "--quiet"]) == 2
+    assert "tolerance is in standard errors, >= 0.001; got 1e-09" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
 def test_simulate_accepts_integral_floats(tmp_path):
     cfg = write_config(tmp_path / "sim.json",
                        {"model": SIM_MODEL, "n_pulses": 2e3, "seed": 16.0})
@@ -236,7 +245,7 @@ SWEEP_DOCS = {
         "simulate": {"model": dict(SIM_MODEL, area_offset=0.0, saturation_coeff=0.0,
                                    dark_rate_per_gate=0.0, cell_count=None),
                      "n_pulses": 2000, "seed": 3, "bin_width": "auto"},
-        "fit": {"n_peaks": 5, "constraint": "poisson", "max_iterations": 100, "tolerance": 1e-9,
+        "fit": {"n_peaks": 5, "constraint": "poisson", "max_iterations": 100, "tolerance": 0.01,
                 "init": {"x0": 0.0, "delta": 135.0, "sat": 0.0,
                          "stds": [11.0, 25.0, 32.0, 35.0, 39.0],
                          "weights": [0.3, 0.36, 0.22, 0.09, 0.03], "mu": 1.2}}},
@@ -538,15 +547,15 @@ def test_pipeline_tables_match_row_loop_oracle(tmp_path):
 
 
 # README "Determinism": `pipeline` on the shipped simulate.json (seed 16) and
-# fit.json writes these bytes
+# fit.json writes these bytes; its K = 7 fit stops at iteration 15
 SHIPPED_PIPELINE_SHA256 = {
     "pulses.csv": "9da7a6aeb3d6c37a652ea2c58b4f85fa7316ee4c04c2cdeaeff52dad7d3b975a",
     "histogram.csv": "9b706427cd22ec5ceba3d3e2b24f1186457a468355394e90c9aa342a371ce38f",
-    "fit_report.json": "7eebb12886cd9ce217f96f337f2ba2dbc3a17b6f53286e6f8925757228f9e574",
-    "analysis.json": "ebbe9a52d7a3bb17939cff2ea5545e37e7f199feb71dc085b93082eadf8e052f",
-    "fit_curve.csv": "dc86c986ac723daa1c0d2da058540a322978b1c3a895416103508abf5d386c98",
-    "errors_vs_n.csv": "936b94cdca2853ee967c173a34027519ed7baa8719124a674f75f8fa66ec9403",
-    "variance_vs_n.csv": "3895721d75ad8ce7ac33f81b4cd574ca703c38f6e8911f8769001e358bf13a4b",
+    "fit_report.json": "3b5feb41ec835788c7d91cdd0f794ab7ca366e187d9ed917e561ebf68dcb0709",
+    "analysis.json": "df536aef55d17b07b63b488a1442ceefaa45b44d0d805de7827891521032a331",
+    "fit_curve.csv": "22b6e0eb97f983ab5c98341169f379a9d712818914fcfa70654551a7ed60fa51",
+    "errors_vs_n.csv": "250ee33e5c9207b1a73f0fef533826c8e0325694f2383fe4bb77fd47631366e3",
+    "variance_vs_n.csv": "3b9d30dc6d8fd4d75d2d7ec70a44171e4a34de6b39aa1d85a6fbd0e68d24d884",
 }
 # `python -m pnr_lab ...`, then print the exit code and whether numpy.ma was imported
 RUN_MODULE = """import runpy, sys

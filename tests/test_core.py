@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import pnr_lab
 from pnr_lab import (Constraint, DecisionScheme, DetectorModel, FitConfig, GaussianPeak,
-                     Histogram, MixtureModel, NoiseReport, SimConfig, substream)
+                     Histogram, MixtureModel, NoiseReport, SimConfig, histogram_from_areas,
+                     substream)
 from pnr_lab.core import (_interval_mass, _log_factorials, _normalized_exp, _poisson_log_pmf,
                           _std_normal_cdf_pdf)
 
@@ -211,6 +212,26 @@ def _small_model(**extra):
     return DetectorModel(mean_photon_number=2.0, quantum_efficiency=0.9,
                          gain_per_photon=100.0, mult_noise_var=10.0,
                          electronic_noise_var=5.0, **extra)
+
+
+# a bool is a numbers.Real, but never one of these numbers
+@pytest.mark.parametrize("make", [
+    lambda: FitConfig(tolerance=True),
+    lambda: DetectorModel(mean_photon_number=True, quantum_efficiency=0.9,
+                          gain_per_photon=100.0, mult_noise_var=10.0, electronic_noise_var=5.0),
+    lambda: histogram_from_areas(np.array([1.0, 2.0, 3.0]), True),
+], ids=["tolerance", "mean_photon_number", "bin_width"])
+def test_finite_number_fields_refuse_bools(make):
+    with pytest.raises(ValueError, match="must be a finite number.*got True"):
+        make()
+
+
+def test_fit_tolerance_is_in_standard_errors_with_a_floor():
+    assert FitConfig().tolerance == 0.01
+    assert FitConfig(tolerance=1e-3).tolerance == 1e-3
+    # a relative-drop tolerance from an old config is refused, not run as 1e-9 sigma
+    with pytest.raises(ValueError, match=r"tolerance is in standard errors, >= 0\.001; got 1e-09"):
+        FitConfig(tolerance=1e-9)
 
 
 WHOLE_NUMBER_FIELDS = {

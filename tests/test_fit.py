@@ -1,13 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pnr_lab import (Constraint, FitConfig, FitSetupError, Histogram,
-                     MixtureModel, SimConfig, expected_counts, fit_spectrum,
+from pnr_lab import (Constraint, DegenerateDesignError, DetectorModel, FitConfig, FitSetupError,
+                     Histogram, MixtureModel, SimConfig, expected_counts, fit_spectrum,
                      histogram_from_areas, init_guess, report_from_json,
                      report_to_json, run)
 from pnr_lab.fit import _plateau_maxima, _Problem
@@ -31,6 +32,8 @@ def synthetic_hist(model, n=200_000, width=11.0, seed=0, lo=None, hi=None):
     rng = np.random.default_rng(seed)
     counts = rng.poisson(curve)
     return Histogram(bin_edges=edges, counts=counts, total_pulses=int(counts.sum()))
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # ---------------------------------------------------------------- init_guess
@@ -306,6 +309,62 @@ def test_rank_deficiency_warning(rank_deficient_case):
     assert doc["warnings"][0].startswith("rank_deficient: ")
     assert doc["warnings"][1].startswith("stalled: ")
     assert report_from_json(json.loads(json.dumps(doc))).warnings == rep.warnings
+
+
+# ---------------------------------------------------------------- stopping rule
+
+def sigma_distance(hist, constraint, model, ref):
+    """Distance of `model` from `ref` in the metric of H = J^T W J at `ref`,
+    over the packed parameters.  It bounds every |p_i - ref_i| / sigma_i with
+    sigma_i^2 = [H^-1]_ii (Cauchy-Schwarz), and needs no inverse: a clipped
+    log parameter's zero column, or a dead peak's near-zero one, adds nothing."""
+    prob = _Problem(hist, constraint, ref.n_peaks)
+    p_ref = prob.pack(ref)
+    *_, parts = prob.evaluate(p_ref)
+    jac = prob.jacobian(p_ref, *parts)
+    move = jac @ (prob.pack(model) - p_ref)
+    return math.sqrt(float(prob.wls @ (move * move)))
+
+
+# the fit_designs benchmark's design box: mean detections, QE, gain, then the
+# multiplication, electronic and per-photon widths relative to the gain
+DESIGN_BOX = st.tuples(st.floats(0.5, 5.0), st.floats(0.5, 0.95), st.floats(100.0, 200.0),
+                       st.floats(0.05, 0.2), st.floats(0.05, 0.12), st.floats(0.0, 0.15))
+
+
+@settings(max_examples=25, deadline=None)
+@given(DESIGN_BOX, st.integers(0, 2**32 - 1))
+def test_converged_fits_are_within_a_tenth_sigma_of_a_tight_refit(design, seed):
+    mean_detected, qe, gain, m_rel, e_rel, o_rel = design
+    model = DetectorModel(mean_photon_number=mean_detected / qe, quantum_efficiency=qe,
+                          gain_per_photon=gain, mult_noise_var=(m_rel * gain) ** 2,
+                          electronic_noise_var=(e_rel * gain) ** 2,
+                          extra_per_photon_var=(o_rel * gain) ** 2)
+    _, hist = run(SimConfig(model, 20_000, seed))
+    for constraint in Constraint:
+        try:
+            rep = fit_spectrum(hist, FitConfig(constraint=constraint))
+        except (FitSetupError, DegenerateDesignError):     # the fit's documented refusals
+            continue
+        if rep.converged:
+            tight = fit_spectrum(hist, FitConfig(constraint=constraint, tolerance=1e-3,
+                                                 max_iterations=5000))
+            assert sigma_distance(hist, constraint, rep.model, tight.model) < 0.1, constraint
+
+
+def test_pipeline_config_fit_does_not_depend_on_its_start():
+    doc = json.loads((CONFIGS / "pipeline.json").read_text())
+    sim = doc["simulate"]
+    _, hist = run(SimConfig(DetectorModel(**sim["model"]), sim["n_pulses"], sim["seed"]))
+    cfg = FitConfig(n_peaks=doc["fit"]["n_peaks"],
+                    constraint=Constraint.parse(doc["fit"]["constraint"]))
+    guess = init_guess(hist, cfg.n_peaks)
+    displaced = MixtureModel.from_ladder(guess.x0 + 10.0, guess.spacing * 1.03, 1.0,
+                                         guess.std_devs() * 1.3, guess.weights())
+    rep = fit_spectrum(hist, cfg)
+    other = fit_spectrum(hist, FitConfig(n_peaks=cfg.n_peaks, init=displaced))
+    assert rep.converged and other.converged
+    assert sigma_distance(hist, cfg.constraint, other.model, rep.model) < 0.1
 
 
 def test_empty_histogram_rejected():
