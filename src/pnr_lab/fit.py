@@ -8,11 +8,13 @@ with the bin probability computed as the Gaussian CDF difference across the
 bin (correct for wide bins, unlike a midpoint-density approximation).  The
 minimizer is a damped (Levenberg-Marquardt style) iteration: damping scales
 x10 on a rejected step and /10 on an accepted one, and a step is never
-accepted if it increases the objective.  It stops once a step accepted at
-damping <= 1e-4 leaves no parameter able to move `tolerance` standard errors:
-the predicted drop d^2 = step.(2g - H step), H = J^T W J and g = J^T W r,
-bounds each |step_i| by d sigma_i, sigma_i^2 = [H^-1]_ii.  An actual drop of
-(1+q) d^2 says later steps shrink by q: stop at d < tolerance*min(1, 1-q).
+accepted if it increases the objective.  It stops once an accepted step
+leaves no parameter able to move `tolerance` standard errors: the predicted
+drop d^2 = step.(2g - H step), H = J^T W J and g = J^T W r, bounds each
+|step_i| by d sigma_i, sigma_i^2 = [H^-1]_ii.  Above damping 1e-4 a step is
+too short for that, so a d^2 below tolerance^2 is replaced by the undamped
+g.H^+g, which it never exceeds.  An actual drop of (1+q) d^2 says later
+steps shrink by q: stop at d < tolerance*min(1, 1-q).
 
 Three constraint regimes, all sharing the mean ladder x_i = x0 + i*D - i^2*a:
 
@@ -396,7 +398,12 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
             break
         drop, dec = obj - obj2, step @ (2.0 * grad - hess @ step)
         p, parts, r, obj, excess = p_try, parts2, r2, obj2, excess2
-        if lam <= 1e-4 and dec > 0 and math.sqrt(dec) < cfg.tolerance * min(1.0, 2.0 - drop / dec):
+        if lam > 1e-4 and dec < cfg.tolerance ** 2:
+            # a step damped this much understates g.H^+g; the pseudo-inverse
+            # passes over a clipped log parameter's zero column
+            s = 1.0 / np.sqrt(diag)
+            dec = (s * grad) @ np.linalg.pinv(hess * np.outer(s, s), hermitian=True) @ (s * grad)
+        if dec > 0 and math.sqrt(dec) < cfg.tolerance * min(1.0, 2.0 - drop / dec):
             converged = True
             break
         lam = max(lam / 10.0, 1e-12)

@@ -255,20 +255,8 @@ def write_table(path, header: str, row_format: str, *columns) -> None:
 
 
 def write_pulses_csv(path, records: np.ndarray) -> None:
-    """write_table's bytes; each block formats its distinct (incident, detected) prefixes once."""
-    with open(path, "w") as fh:
-        fh.write(f"{CSV_VERSION}\ntrue_incident,true_detected,area\n")
-        for start in range(0, len(records), CHUNK_PULSES):
-            block = records[start:start + CHUNK_PULSES]
-            order = np.lexsort((block["true_detected"], block["true_incident"]))
-            inc, det = block["true_incident"][order], block["true_detected"][order]
-            new = np.concatenate(([True], (inc[1:] != inc[:-1]) | (det[1:] != det[:-1])))
-            code = np.empty(len(order), dtype=np.intp)
-            code[order] = np.cumsum(new) - 1
-            prefixes = np.array([f"{i},{d}," for i, d in zip(inc[new].tolist(),
-                                                             det[new].tolist())], dtype=object)
-            fh.write("\n".join(map(str.__add__, prefixes[code].tolist(),
-                                   map(repr, block["area"].tolist()))) + "\n")
+    write_table(path, "true_incident,true_detected,area", "{},{},{!r}",
+                records["true_incident"], records["true_detected"], records["area"])
 
 
 def read_pulses_csv(path) -> np.ndarray:

@@ -308,21 +308,6 @@ def test_pulse_csv_writer_matches_per_row_format(tmp_path):
 PULSE_HEAD = "# pnr-lab v1\ntrue_incident,true_detected,area\n"
 
 
-@pytest.mark.parametrize("incident, detected", [
-    ([], []),
-    ([2**63 - 1, -2**63, 2**63 - 1, 0, -2**63], [-2**63, 2**63 - 1, -2**63, 0, 2**63 - 1]),
-], ids=["empty", "int64-extremes"])
-def test_pulse_csv_writer_formats_any_int64_counts(tmp_path, incident, detected):
-    # the writer formats each distinct (incident, detected) pair once; no
-    # packed key over the pair, which would overflow here
-    recs = np.zeros(len(incident), dtype=PULSE_DTYPE)
-    recs["true_incident"], recs["true_detected"] = incident, detected
-    recs["area"] = np.arange(len(incident)) / 7.0
-    write_pulses_csv(tmp_path / "p.csv", recs)
-    assert (tmp_path / "p.csv").read_text() == PULSE_HEAD + "".join(
-        f"{i},{d},{a!r}\n" for i, d, a in zip(incident, detected, recs["area"].tolist()))
-
-
 # "default" overrides the suite's warnings-as-errors, so the refusals below
 # are the readers' own and not an artefact of the test configuration
 @pytest.mark.filterwarnings("default")
