@@ -8,13 +8,20 @@ with the bin probability computed as the Gaussian CDF difference across the
 bin (correct for wide bins, unlike a midpoint-density approximation).  The
 minimizer is a damped (Levenberg-Marquardt style) iteration: damping scales
 x10 on a rejected step and /10 on an accepted one, and a step is never
-accepted if it increases the objective.  It stops once an accepted step
-leaves no parameter able to move `tolerance` standard errors: the predicted
-drop d^2 = step.(2g - H step), H = J^T W J and g = J^T W r, bounds each
-|step_i| by d sigma_i, sigma_i^2 = [H^-1]_ii.  Above damping 1e-4 a step is
-too short for that, so a d^2 below tolerance^2 is replaced by the undamped
-g.H^+g, which it never exceeds.  An actual drop of (1+q) d^2 says later
-steps shrink by q: stop at d < tolerance*min(1, 1-q).
+accepted if it increases the objective.  Each trial moves t times the damped
+Gauss-Newton step.  After an accepted trial a parabola along that ray, with
+the exact slope and the measured drop, gives the next t: its minimum, kept
+within [1, 8] (8 where it has none).  A scaled trial that is rejected is
+retried at t = 1 before the damping rises.  On a misfit spectrum the unit
+steps fall short by a steady factor, and this ends their linear crawl.
+
+The fit stops once an accepted step leaves no parameter able to move
+`tolerance` standard errors: the unit step's predicted drop
+d^2 = step.(2g - H step), H = J^T W J and g = J^T W r, bounds each |step_i|
+by d sigma_i, sigma_i^2 = [H^-1]_ii.  Above damping 1e-4 a step is too short
+for that, so a d^2 below tolerance^2 is replaced by the undamped g.H^+g,
+which it never exceeds.  A unit-step drop of (1+q) d^2 on the ray's parabola
+says later steps shrink by q: stop at d < tolerance*min(1, 1-q).
 
 Three constraint regimes, all sharing the mean ladder x_i = x0 + i*D - i^2*a:
 
@@ -74,6 +81,11 @@ class FitConfig:
     init: MixtureModel | None = None
 
     def __post_init__(self):
+        if isinstance(self.constraint, str):
+            object.__setattr__(self, "constraint", Constraint.parse(self.constraint))
+        elif not isinstance(self.constraint, Constraint):
+            raise TypeError(f"constraint must be a Constraint or its name, "
+                            f"got {self.constraint!r}")
         _finite("tolerance", self.tolerance, above=0)
         if self.tolerance < 1e-3:
             raise ValueError(f"tolerance is in standard errors, >= 0.001; got {self.tolerance!r}")
@@ -307,6 +319,22 @@ def _window_excess(means: np.ndarray, edges: np.ndarray) -> float:
     return max(0.0, (lo - span) - min(m)) + max(0.0, max(m) - (hi + span))
 
 
+def _trial(prob: _Problem, p: np.ndarray, obj: float, excess: float):
+    """(p, residuals, objective, `jacobian` arrays, window excess) at `p` if it
+    is an acceptable step from a point at `obj` and `excess`, else None."""
+    try:
+        r, obj2, means, parts = prob.evaluate(p)
+    except (FloatingPointError, ValueError, OverflowError):
+        return None
+    excess2 = _window_excess(means, prob.edges)
+    # A peak centre drifting further than a full histogram width beyond the
+    # data is runaway along a near-flat direction, not progress: the data can
+    # never pull it back.  Steps that move back toward the window stay allowed.
+    if excess2 > excess or not math.isfinite(obj2) or obj2 >= obj:
+        return None
+    return p, r, obj2, parts, excess2
+
+
 # ---------------------------------------------------------------------------
 # the damped least-squares loop
 # ---------------------------------------------------------------------------
@@ -344,6 +372,7 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
 
     excess = _window_excess(means, prob.edges)
     lam = 1e-3
+    scale = 1.0                 # the next trial is p + scale * step
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
@@ -374,36 +403,31 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            p_try = p + step
-            try:
-                r2, obj2, means2, parts2 = prob.evaluate(p_try)
-            except (FloatingPointError, ValueError, OverflowError):
-                lam *= 10.0
-                continue
-            excess2 = _window_excess(means2, prob.edges)
-            if excess2 > excess:
-                # A peak centre drifting further than a full histogram width
-                # beyond the data is runaway along a near-flat direction, not
-                # progress: the data can never pull it back.  Steps that move
-                # back toward the window stay allowed.
-                lam *= 10.0
-                continue
-            if not math.isfinite(obj2) or obj2 >= obj:
-                lam *= 10.0
-                continue
-            break
+            trial = _trial(prob, p + scale * step, obj, excess)
+            if trial is None and scale > 1.0:
+                scale = 1.0
+                trial = _trial(prob, p + step, obj, excess)
+            if trial is not None:
+                break
+            lam *= 10.0
         else:                       # no damping gives an acceptable step
             warnings.append(f"stalled: no damping up to 1e12 lowers the objective "
                             f"{obj:.10g} at iteration {iterations}")
             break
-        drop, dec = obj - obj2, step @ (2.0 * grad - hess @ step)
-        p, parts, r, obj, excess = p_try, parts2, r2, obj2, excess2
+        # Along p + t step the objective is obj - 2 t slope + curve t^2: the
+        # slope is exact and the drop measured at t = scale fixes the curve.
+        # unit_drop is its drop at t = 1, the measured one when scale is 1.
+        slope, dec = grad @ step, step @ (2.0 * grad - hess @ step)
+        unit_drop = (obj - trial[2]) / scale ** 2 + 2.0 * slope * (scale - 1.0) / scale
+        curve = 2.0 * slope - unit_drop
+        scale = min(max(slope / curve, 1.0), 8.0) if curve > 0 else 8.0
+        p, r, obj, parts, excess = trial
         if lam > 1e-4 and dec < cfg.tolerance ** 2:
             # a step damped this much understates g.H^+g; the pseudo-inverse
             # passes over a clipped log parameter's zero column
             s = 1.0 / np.sqrt(diag)
             dec = (s * grad) @ np.linalg.pinv(hess * np.outer(s, s), hermitian=True) @ (s * grad)
-        if dec > 0 and math.sqrt(dec) < cfg.tolerance * min(1.0, 2.0 - drop / dec):
+        if dec > 0 and math.sqrt(dec) < cfg.tolerance * min(1.0, 2.0 - unit_drop / dec):
             converged = True
             break
         lam = max(lam / 10.0, 1e-12)

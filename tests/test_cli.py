@@ -547,15 +547,16 @@ def test_pipeline_tables_match_row_loop_oracle(tmp_path):
 
 
 # README "Determinism": `pipeline` on the shipped simulate.json (seed 16) and
-# fit.json writes these bytes; its K = 7 fit stops at iteration 15
+# fit.json writes these bytes; its K = 7 fit stops at iteration 9 (15 before
+# steps were scaled to the last ray's minimum)
 SHIPPED_PIPELINE_SHA256 = {
     "pulses.csv": "9da7a6aeb3d6c37a652ea2c58b4f85fa7316ee4c04c2cdeaeff52dad7d3b975a",
     "histogram.csv": "9b706427cd22ec5ceba3d3e2b24f1186457a468355394e90c9aa342a371ce38f",
-    "fit_report.json": "3b5feb41ec835788c7d91cdd0f794ab7ca366e187d9ed917e561ebf68dcb0709",
-    "analysis.json": "df536aef55d17b07b63b488a1442ceefaa45b44d0d805de7827891521032a331",
-    "fit_curve.csv": "22b6e0eb97f983ab5c98341169f379a9d712818914fcfa70654551a7ed60fa51",
-    "errors_vs_n.csv": "250ee33e5c9207b1a73f0fef533826c8e0325694f2383fe4bb77fd47631366e3",
-    "variance_vs_n.csv": "3b9d30dc6d8fd4d75d2d7ec70a44171e4a34de6b39aa1d85a6fbd0e68d24d884",
+    "fit_report.json": "0697b4cd0656460c26c7d750d14d409ba1e1d9de48e3b8635a6fb944a0dccc59",
+    "analysis.json": "6316f171c9295a82e7a1dbabd432cbbc0028caa4ccddd1a497671aae7cb93870",
+    "fit_curve.csv": "9cf4297234e7449706ab887e26cfe53233e65fa2b136385735bcc90c2804a466",
+    "errors_vs_n.csv": "c398b475faaeab00beafb6498a99ae4f39b835718568a907d98eadc5046c554d",
+    "variance_vs_n.csv": "37cffd3fad526cbdc80a95c2a61a7f6cbf847b98d75a66d83456d3081592030b",
 }
 # `python -m pnr_lab ...`, then print the exit code and whether numpy.ma was imported
 RUN_MODULE = """import runpy, sys
