@@ -10,10 +10,13 @@ minimizer is a damped (Levenberg-Marquardt style) iteration: damping scales
 x10 on a rejected step and /10 on an accepted one, and a step is never
 accepted if it increases the objective.  Each trial moves t times the damped
 Gauss-Newton step.  After an accepted trial a parabola along that ray, with
-the exact slope and the measured drop, gives the next t: its minimum, kept
-within [1, 8] (8 where it has none).  A scaled trial that is rejected is
-retried at t = 1 before the damping rises.  On a misfit spectrum the unit
-steps fall short by a steady factor, and this ends their linear crawl.
+the exact slope and the measured drop, gives its minimum; the next t is the
+smaller of this ray's and the last ray's minima, kept within [1, 8].  Only a
+step within one standard error of the optimum (d^2 < 1, below) at damping
+1e-4 or less is scaled; further out a longer step can end in another local
+minimum.  A scaled trial that is rejected is retried at t = 1 before the
+damping rises.  On a misfit spectrum the unit steps fall short by a steady
+factor, and this ends their linear crawl.
 
 The fit stops once an accepted step leaves no parameter able to move
 `tolerance` standard errors: the unit step's predicted drop
@@ -21,7 +24,10 @@ d^2 = step.(2g - H step), H = J^T W J and g = J^T W r, bounds each |step_i|
 by d sigma_i, sigma_i^2 = [H^-1]_ii.  Above damping 1e-4 a step is too short
 for that, so a d^2 below tolerance^2 is replaced by the undamped g.H^+g,
 which it never exceeds.  A unit-step drop of (1+q) d^2 on the ray's parabola
-says later steps shrink by q: stop at d < tolerance*min(1, 1-q).
+says later steps shrink by q: stop at d < tolerance*min(1, 1-q), with the
+largest q of the last three steps.  Unit steps line up with the slowest
+direction, so one ray shows its q; scaled steps do not, and one ray can
+understate it.
 
 Three constraint regimes, all sharing the mean ladder x_i = x0 + i*D - i^2*a:
 
@@ -372,7 +378,8 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
 
     excess = _window_excess(means, prob.edges)
     lam = 1e-3
-    scale = 1.0                 # the next trial is p + scale * step
+    scale = t_last = 1.0        # the next trial is p + scale * step
+    rates = []                  # 1 - q of the last three accepted steps
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
@@ -420,14 +427,20 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
         slope, dec = grad @ step, step @ (2.0 * grad - hess @ step)
         unit_drop = (obj - trial[2]) / scale ** 2 + 2.0 * slope * (scale - 1.0) / scale
         curve = 2.0 * slope - unit_drop
-        scale = min(max(slope / curve, 1.0), 8.0) if curve > 0 else 8.0
+        # next t: the nearer of this ray's and the last ray's minima, scaled
+        # only near the optimum (module docstring)
+        t_min = slope / curve if curve > 0 and dec < 1.0 and lam <= 1e-4 else 1.0
+        scale, t_last = min(max(min(t_min, t_last), 1.0), 8.0), t_min
         p, r, obj, parts, excess = trial
         if lam > 1e-4 and dec < cfg.tolerance ** 2:
             # a step damped this much understates g.H^+g; the pseudo-inverse
             # passes over a clipped log parameter's zero column
             s = 1.0 / np.sqrt(diag)
             dec = (s * grad) @ np.linalg.pinv(hess * np.outer(s, s), hermitian=True) @ (s * grad)
-        if dec > 0 and math.sqrt(dec) < cfg.tolerance * min(1.0, 2.0 - unit_drop / dec):
+        # unit_drop = (1+q) d^2 measures q along this ray alone; the largest
+        # q of the last three steps stands for the slowest direction's
+        rates = rates[-2:] + [min(1.0, 2.0 - unit_drop / dec) if dec > 0 else 1.0]
+        if dec > 0 and math.sqrt(dec) < cfg.tolerance * min(rates):
             converged = True
             break
         lam = max(lam / 10.0, 1e-12)

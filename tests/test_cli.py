@@ -547,16 +547,16 @@ def test_pipeline_tables_match_row_loop_oracle(tmp_path):
 
 
 # README "Determinism": `pipeline` on the shipped simulate.json (seed 16) and
-# fit.json writes these bytes; its K = 7 fit stops at iteration 9 (15 before
-# steps were scaled to the last ray's minimum)
+# fit.json writes these bytes; its K = 7 fit stops at iteration 11 (15 before
+# steps near the optimum were scaled to the ray's minimum)
 SHIPPED_PIPELINE_SHA256 = {
     "pulses.csv": "9da7a6aeb3d6c37a652ea2c58b4f85fa7316ee4c04c2cdeaeff52dad7d3b975a",
     "histogram.csv": "9b706427cd22ec5ceba3d3e2b24f1186457a468355394e90c9aa342a371ce38f",
-    "fit_report.json": "0697b4cd0656460c26c7d750d14d409ba1e1d9de48e3b8635a6fb944a0dccc59",
-    "analysis.json": "6316f171c9295a82e7a1dbabd432cbbc0028caa4ccddd1a497671aae7cb93870",
-    "fit_curve.csv": "9cf4297234e7449706ab887e26cfe53233e65fa2b136385735bcc90c2804a466",
-    "errors_vs_n.csv": "c398b475faaeab00beafb6498a99ae4f39b835718568a907d98eadc5046c554d",
-    "variance_vs_n.csv": "37cffd3fad526cbdc80a95c2a61a7f6cbf847b98d75a66d83456d3081592030b",
+    "fit_report.json": "5fdc23c36a9c5ff7616a0d5e1a34c6e68004cdd4c3a4bc65dfc82a33feb747a6",
+    "analysis.json": "6009305edc01bfa6cb19a444a092b2615deaad5b4865733ab565e37e83435df8",
+    "fit_curve.csv": "ae40a906e2493715989e3547f58203aef10c343ed2cce71e3bf8234a3696212c",
+    "errors_vs_n.csv": "9c1a89b76c93af6dd11572589c70d942e205b69361f1f7819114c85f9f1b8c3c",
+    "variance_vs_n.csv": "ff0cd8a610b9bb0acde568414950b65e78341bc2ce2928fe3b99b546f0a31562",
 }
 # `python -m pnr_lab ...`, then print the exit code and whether numpy.ma was imported
 RUN_MODULE = """import runpy, sys

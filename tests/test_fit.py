@@ -390,7 +390,7 @@ def test_pipeline_config_fit_does_not_depend_on_its_start():
     other = fit_spectrum(hist, FitConfig(n_peaks=cfg.n_peaks, init=displaced))
     assert rep.converged and other.converged
     # within 0.13 sigma by iteration 4: unit Gauss-Newton steps then crawled
-    # to iteration 44, steps scaled to the last ray's minimum end by 10
+    # to iteration 44, steps scaled to the ray's minimum end by 11
     assert rep.iterations <= 15
     assert sigma_distance(hist, cfg.constraint, other.model, rep.model) < 0.1
 
@@ -419,11 +419,8 @@ def test_init_and_n_peaks_must_agree(law_model):
         fit_spectrum(h, FitConfig(n_peaks=5, init=law_model))
 
 
-def test_constraint_is_a_constraint_or_its_name(law_model):
-    h = synthetic_hist(law_model, n=50_000, seed=3)
-    named = fit_spectrum(h, FitConfig(n_peaks=7, constraint="linear_variance"))
-    member = fit_spectrum(h, FitConfig(n_peaks=7, constraint=Constraint.LINEAR_VARIANCE))
-    assert report_to_json(named) == report_to_json(member)
+def test_constraint_is_a_constraint_or_its_name():
+    assert FitConfig(constraint="linear_variance").constraint is Constraint.LINEAR_VARIANCE
     with pytest.raises(ValueError, match="unknown constraint 'lin'"):
         FitConfig(constraint="lin")
     with pytest.raises(TypeError, match="constraint must be a Constraint or its name, got 2"):
