@@ -17,7 +17,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,18 +97,15 @@ def _load_json(path) -> dict:
 
 def _read(doc, context: str, keys, required=()) -> dict:
     """The values of `keys` present in `doc`, which must be a JSON object that
-    holds every `required` key.  JSON true/false is refused under every key
-    read: Python would take it for the number 1/0.  Other keys are ignored."""
+    holds every `required` key.  Other keys are ignored.  The values are
+    checked by the types they are given to, at any depth: a JSON true/false
+    where a number belongs is refused there, as is NaN or Infinity."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{context}: expected an object")
     for key in required:
         if key not in doc:
             raise ConfigError(f"{context}: missing required field '{key}'")
-    values = {key: doc[key] for key in keys if key in doc}
-    for key, value in values.items():
-        if isinstance(value, bool):
-            raise ConfigError(f"{context}: {key} must be a number, got {json.dumps(value)}")
-    return values
+    return {key: doc[key] for key in keys if key in doc}
 
 
 @contextmanager
@@ -165,11 +162,9 @@ def _build_sim_config(doc, seed_override, context: str) -> SimConfig:
 
 
 def _build_fit_config(doc, context: str) -> FitConfig:
-    _read(doc, context, ())          # an object, before .get reads it
-    with _refusals(context):
-        constraint = Constraint.parse(doc.get("constraint", "free"))
-    init = None if doc.get("init") is None else _init_model(doc["init"], constraint)
-    return _from_json(FitConfig, doc, context, constraint=constraint, init=init)
+    cfg = _from_json(FitConfig, doc, context, init=None)
+    init = doc.get("init")
+    return cfg if init is None else replace(cfg, init=_init_model(init, cfg.constraint))
 
 
 def _simulate(cfg: SimConfig, args, output) -> Histogram:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -51,11 +51,8 @@ def substream(seed: int, index: int) -> np.random.Generator:
     simulation reproducible: work split across N workers touches the same
     streams in the same per-chunk order regardless of N.
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    if index < 0:
-        raise ValueError(f"stream index must be >= 0, got {index}")
-    key = np.array([int(seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
+    key = np.array([_whole("seed", seed) & _MASK64, _whole("stream index", index, 0) & _MASK64],
+                   dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -131,27 +128,39 @@ def _interval_mass(edges, means: np.ndarray, sigmas: np.ndarray):
     return cdf[1:] - cdf[:-1], z, phi
 
 
-def _finite(name: str, value, above=None) -> None:
-    """Refuse `value` unless it is a finite real number, and above `above` when
-    that is given.  JSON's NaN and Infinity, which Python's reader accepts,
-    are refused, and so are bools."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)
-                                       and (above is None or value > above)):
-        bound = "" if above is None else f" > {above}"
-        raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+def _finite(name: str, value, above=None, at_least=None, at_most=None) -> None:
+    """Refuse `value` unless it is a finite real number, > `above`, >= `at_least`
+    and <= `at_most` where those are given: the one rule for every number a
+    type or function takes.  JSON's NaN and Infinity, which Python's reader
+    accepts, are refused, and so are bools and ints beyond the float range.
+    A float (numpy's too) skips the costlier `numbers.Real` check."""
+    try:
+        if ((isinstance(value, float)
+             or isinstance(value, numbers.Real) and not isinstance(value, bool))
+                and math.isfinite(value) and (above is None or value > above)
+                and (at_least is None or value >= at_least)
+                and (at_most is None or value <= at_most)):
+            return
+    except OverflowError:           # an int beyond the float range
+        pass
+    bounds = ((">", above), (">=", at_least), ("<=", at_most))
+    bound = " and".join(f" {op} {b}" for op, b in bounds if b is not None)
+    raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
 def _whole(name: str, value, least=None) -> int:
     """`value` as an int: an int, or a float with no fractional part (JSON may
     write 1e5), and at least `least` when that is given.  Bools, fractions and
-    non-numbers are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)):
-        raise TypeError(f"{name} must be a whole number, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    non-numbers are refused; a plain int skips the type checks."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)):
+            raise TypeError(f"{name} must be a whole number, got {value!r}")
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{name} must be a whole number, got {value!r}")
+        value = int(value)
     if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {int(value)}")
-    return int(value)
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -232,20 +241,13 @@ class DetectorModel:
     cell_count: int | None = None      # None = infinite active-area cells
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name != "cell_count":
-                _finite(f.name, getattr(self, f.name))
-        if not 0.0 <= self.quantum_efficiency <= 1.0:
-            raise ValueError(f"quantum_efficiency must lie in [0, 1], got {self.quantum_efficiency}")
-        if self.mean_photon_number < 0:
-            raise ValueError("mean_photon_number must be >= 0")
-        if self.gain_per_photon <= 0:
-            raise ValueError("gain_per_photon must be > 0")
-        for name in ("mult_noise_var", "electronic_noise_var", "extra_per_photon_var"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.dark_rate_per_gate < 0:
-            raise ValueError("dark_rate_per_gate must be >= 0")
+        _finite("quantum_efficiency", self.quantum_efficiency, at_least=0, at_most=1)
+        _finite("gain_per_photon", self.gain_per_photon, above=0)
+        for name in ("mean_photon_number", "mult_noise_var", "electronic_noise_var",
+                     "extra_per_photon_var", "dark_rate_per_gate"):
+            _finite(name, getattr(self, name), at_least=0)
+        _finite("area_offset", self.area_offset)
+        _finite("saturation_coeff", self.saturation_coeff)
         if self.cell_count is not None:
             object.__setattr__(self, "cell_count", _whole("cell_count", self.cell_count, 1))
 
@@ -279,8 +281,8 @@ class Histogram:
             counts = counts.astype(np.int64)
         if (counts < 0).any():
             raise ValueError("counts must be >= 0")
-        if self.underflow < 0 or self.overflow < 0:
-            raise ValueError("underflow and overflow must be >= 0")
+        for name in ("total_pulses", "underflow", "overflow"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), 0))
         if counts.sum() + self.underflow + self.overflow > self.total_pulses:
             raise ValueError("sum of counts, underflow and overflow exceeds total_pulses")
         edges.setflags(write=False)
@@ -311,14 +313,10 @@ class GaussianPeak:
     weight: float
 
     def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("peak index must be >= 0")
-        if not math.isfinite(self.mean):
-            raise ValueError(f"peak mean must be finite, got {self.mean}")
-        if not 0 < self.std_dev < math.inf:
-            raise ValueError(f"peak std_dev must be finite and > 0, got {self.std_dev}")
-        if not 0 <= self.weight < math.inf:
-            raise ValueError(f"peak weight must be finite and >= 0, got {self.weight}")
+        object.__setattr__(self, "index", _whole("peak index", self.index, 0))
+        _finite("peak mean", self.mean)
+        _finite("peak std_dev", self.std_dev, above=0)
+        _finite("peak weight", self.weight, at_least=0)
 
 
 class Constraint(Enum):
@@ -371,8 +369,8 @@ class MixtureModel:
             raise ValueError(f"peak weights must sum to 1 within 1e-9, got {total!r}")
         if self.constraint_kind is Constraint.POISSON_WEIGHTS and self.poisson_mu is None:
             raise ValueError("POISSON_WEIGHTS model requires poisson_mu")
-        if self.poisson_mu is not None and not isinstance(self.poisson_mu, numbers.Real):
-            raise TypeError(f"poisson_mu must be a number or None, got {self.poisson_mu!r}")
+        if self.poisson_mu is not None:
+            _finite("poisson_mu", self.poisson_mu)
         object.__setattr__(self, "peaks", peaks)
 
     # -- constructors -------------------------------------------------
@@ -381,16 +379,17 @@ class MixtureModel:
     def from_ladder(cls, x0, spacing, sat, std_devs, weights,
                     constraint_kind=Constraint.FREE_WEIGHTS_FREE_SIGMAS,
                     poisson_mu=None) -> "MixtureModel":
-        """Build peaks with means exactly on the ladder x0 + i*spacing - i^2*sat."""
-        std_devs = np.asarray(std_devs, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if std_devs.shape != weights.shape:
+        """Build peaks with means exactly on the ladder x0 + i*spacing - i^2*sat.
+
+        Each width and weight goes to its `GaussianPeak` as given, so the peak
+        checks every element of the two sequences."""
+        _finite("x0", x0)
+        _finite("spacing", spacing)
+        _finite("sat", sat)
+        if len(std_devs) != len(weights):
             raise ValueError("std_devs and weights must have the same length")
-        k = len(std_devs)
-        peaks = tuple(
-            GaussianPeak(i, x0 + i * spacing - i * i * sat, float(std_devs[i]), float(weights[i]))
-            for i in range(k)
-        )
+        peaks = tuple(GaussianPeak(i, x0 + i * spacing - i * i * sat, s, w)
+                      for i, (s, w) in enumerate(zip(std_devs, weights)))
         return cls(peaks, float(x0), float(spacing), float(sat), constraint_kind, poisson_mu)
 
     @classmethod
@@ -400,16 +399,17 @@ class MixtureModel:
         """Build from explicit peak positions (e.g. an external fit table).
 
         The supplied means are kept as-is; (x0, spacing, sat) are the
-        least-squares quadratic-ladder description of them.
+        least-squares quadratic-ladder description of them.  As in
+        `from_ladder`, each peak checks its own elements.
         """
-        means = np.asarray(means, dtype=float)
-        std_devs = np.asarray(std_devs, dtype=float)
         k = len(means)
         if weights is None:
-            weights = np.full(k, 1.0 / k)
-        weights = np.asarray(weights, dtype=float)
+            weights = [1.0 / k] * k
         if not (len(std_devs) == len(weights) == k):
             raise ValueError("means, std_devs and weights must have the same length")
+        peaks = tuple(GaussianPeak(n, m, s, w)
+                      for n, (m, s, w) in enumerate(zip(means, std_devs, weights)))
+        means = np.asarray(means, dtype=float)
         i = np.arange(k)
         if k >= 3:
             design = np.stack([np.ones(k), i, -(i.astype(float) ** 2)], axis=1)
@@ -419,10 +419,6 @@ class MixtureModel:
             x0, spacing, sat = float(means[0]), float(means[1] - means[0]), 0.0
         else:
             x0, spacing, sat = float(means[0]), 1.0, 0.0
-        peaks = tuple(
-            GaussianPeak(n, float(means[n]), float(std_devs[n]), float(weights[n]))
-            for n in range(k)
-        )
         return cls(peaks, x0, spacing, sat, constraint_kind, poisson_mu)
 
     # -- views ---------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DecisionScheme, MixtureModel, _interval_mass
+from .core import DecisionScheme, MixtureModel, _finite, _interval_mass
 
 __all__ = [
     "ConfusionMatrix",
@@ -72,12 +72,10 @@ def threshold(x_i: float, sigma_i: float, x_next: float, sigma_next: float) -> f
     at small separation).  A negative R would mean the same thing and is
     guarded too, although for equal weights it is provably nonnegative.
     """
-    for name, val in (("x_i", x_i), ("sigma_i", sigma_i),
-                      ("x_next", x_next), ("sigma_next", sigma_next)):
-        if not math.isfinite(val):
-            raise ValueError(f"{name} must be finite, got {val}")
-    if sigma_i <= 0 or sigma_next <= 0:
-        raise ValueError("standard deviations must be > 0")
+    _finite("x_i", x_i)
+    _finite("sigma_i", sigma_i, above=0)
+    _finite("x_next", x_next)
+    _finite("sigma_next", sigma_next, above=0)
     if x_next <= x_i:
         raise ValueError(f"x_next must exceed x_i, got {x_i} >= {x_next}")
     return _crossing(x_i, sigma_i, x_next, sigma_next, 0.0)

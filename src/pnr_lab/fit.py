@@ -14,9 +14,9 @@ the exact slope and the measured drop, gives its minimum; the next t is the
 smaller of this ray's and the last ray's minima, kept within [1, 8].  Only a
 step within one standard error of the optimum (d^2 < 1, below) at damping
 1e-4 or less is scaled; further out a longer step can end in another local
-minimum.  A scaled trial that is rejected is retried at t = 1 before the
-damping rises.  On a misfit spectrum the unit steps fall short by a steady
-factor, and this ends their linear crawl.
+minimum.  A rejected trial, scaled or not, raises the damping, and the
+next trial is unscaled.  On a misfit spectrum the unit steps fall short by
+a steady factor, and this ends their linear crawl.
 
 The fit stops once an accepted step leaves no parameter able to move
 `tolerance` standard errors: the unit step's predicted drop
@@ -159,7 +159,7 @@ def init_guess(hist: Histogram, n_peaks="auto") -> MixtureModel:
                                         spacing / 64.0, spacing / 2.0), spacing / 4.0)
     weights = np.maximum(mass / max(mass.sum(), 1.0), 1e-6)
     weights /= weights.sum()
-    return MixtureModel.from_ladder(x0, spacing, 0.0, sigmas, weights)
+    return MixtureModel.from_ladder(x0, spacing, 0.0, sigmas.tolist(), weights.tolist())
 
 
 def _plateau_maxima(y: np.ndarray, floor: float) -> np.ndarray:
@@ -262,7 +262,7 @@ class _Problem:
     def to_model(self, p: np.ndarray) -> MixtureModel:
         x0, spacing, sat, sig, w, mu = self.unpack(p)
         return MixtureModel.from_ladder(
-            float(x0), float(spacing), float(sat), sig, w,
+            float(x0), float(spacing), float(sat), sig.tolist(), w.tolist(),
             constraint_kind=self.constraint, poisson_mu=mu)
 
     # -- objective and Jacobian ------------------------------------------
@@ -411,11 +411,9 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
                 lam *= 10.0
                 continue
             trial = _trial(prob, p + scale * step, obj, excess)
-            if trial is None and scale > 1.0:
-                scale = 1.0
-                trial = _trial(prob, p + step, obj, excess)
             if trial is not None:
                 break
+            scale = 1.0
             lam *= 10.0
         else:                       # no damping gives an acceptable step
             warnings.append(f"stalled: no damping up to 1e12 lowers the objective "
@@ -434,9 +432,11 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
         p, r, obj, parts, excess = trial
         if lam > 1e-4 and dec < cfg.tolerance ** 2:
             # a step damped this much understates g.H^+g; the pseudo-inverse
-            # passes over a clipped log parameter's zero column
+            # passes over a clipped log parameter's zero column.  As
+            # |H_ij| <= sqrt(H_ii H_jj), H_ij s_j <= sqrt(H_ii) and H_ij s_j s_i
+            # <= 1 stay finite where s_i s_j overflows for tiny diagonals
             s = 1.0 / np.sqrt(diag)
-            dec = (s * grad) @ np.linalg.pinv(hess * np.outer(s, s), hermitian=True) @ (s * grad)
+            dec = (s * grad) @ np.linalg.pinv(hess * s * s[:, None], hermitian=True) @ (s * grad)
         # unit_drop = (1+q) d^2 measures q along this ray alone; the largest
         # q of the last three steps stands for the slowest direction's
         rates = rates[-2:] + [min(1.0, 2.0 - unit_drop / dec) if dec > 0 else 1.0]

@@ -64,20 +64,13 @@ class EfficiencyInput:
     loss_factors: tuple = ()     # each in (0, 1]
 
     def __post_init__(self):
-        for name in ("wavelength", "power", "counts", "dark_counts"):
-            _finite(name, getattr(self, name))
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be > 0")
-        if self.power < 0:
-            raise ValueError("power must be >= 0")
-        if not 0.0 < self.nd_transmission <= 1.0:
-            raise ValueError("nd_transmission must lie in (0, 1]")
-        if self.counts < 0 or self.dark_counts < 0:
-            raise ValueError("count rates must be >= 0")
-        lf = tuple(float(f) for f in self.loss_factors)
-        for f in lf:
-            if not 0.0 < f <= 1.0:
-                raise ValueError(f"loss factors must lie in (0, 1], got {f}")
+        _finite("wavelength", self.wavelength, above=0)
+        for name in ("power", "counts", "dark_counts"):
+            _finite(name, getattr(self, name), at_least=0)
+        _finite("nd_transmission", self.nd_transmission, above=0, at_most=1)
+        lf = tuple(self.loss_factors)
+        for i, f in enumerate(lf):
+            _finite(f"loss_factors[{i}]", f, above=0, at_most=1)
         object.__setattr__(self, "loss_factors", lf)
 
 
@@ -90,10 +83,8 @@ class EfficiencyResult:
 
 def photon_flux(wavelength: float, power: float) -> float:
     """Photons per second in a beam: wavelength*power/(h*c)."""
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be > 0, got {wavelength}")
-    if power < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
+    _finite("wavelength", wavelength, above=0)
+    _finite("power", power, at_least=0)
     return wavelength * power / (PLANCK_H * SPEED_OF_LIGHT)
 
 
@@ -117,10 +108,8 @@ def measured_efficiency(inp: EfficiencyInput) -> EfficiencyResult:
 
 def excess_noise_factor(mult_noise_var: float, gain_per_photon: float) -> float:
     """F = 1 + (per-photon gain variance)/(gain)^2, in area units."""
-    if gain_per_photon <= 0:
-        raise ValueError("gain_per_photon must be > 0")
-    if mult_noise_var < 0:
-        raise ValueError("mult_noise_var must be >= 0")
+    _finite("mult_noise_var", mult_noise_var, at_least=0)
+    _finite("gain_per_photon", gain_per_photon, above=0)
     return 1.0 + mult_noise_var / gain_per_photon**2
 
 
@@ -130,8 +119,7 @@ def n_max(enf: float) -> float:
     1/(enf - 1); exactly noise-free gain (enf = 1) resolves arbitrarily
     many photons and returns +inf.
     """
-    if enf < 1.0:
-        raise ValueError(f"excess noise factor must be >= 1, got {enf}")
+    _finite("enf", enf, at_least=1)
     if enf == 1.0:
         return math.inf
     return 1.0 / (enf - 1.0)

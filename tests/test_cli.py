@@ -150,17 +150,27 @@ def test_simulate_cell_assignment_beyond_budget_exit_2(tmp_path, capsys):
 
 # qe's readings, like the detector model, refuse the NaN and Infinity that
 # Python's JSON reader accepts: NaN once printed the invalid JSON "raw": NaN
-QE_NON_FINITE = [("wavelength_m", "wavelength", math.nan),
-                 ("wavelength_m", "wavelength", math.inf),
-                 ("power_w", "power", -math.inf), ("counts_per_s", "counts", math.nan),
-                 ("dark_counts_per_s", "dark_counts", math.inf)]
+QE_NON_FINITE = [("wavelength_m", "wavelength must be a finite number > 0", math.nan),
+                 ("wavelength_m", "wavelength must be a finite number > 0", math.inf),
+                 ("power_w", "power must be a finite number >= 0", -math.inf),
+                 ("counts_per_s", "counts must be a finite number >= 0", math.nan),
+                 ("dark_counts_per_s", "dark_counts must be a finite number >= 0", math.inf)]
+
+# each type refuses a bool where it takes a number, in a list too
+BOOL_REFUSALS = [
+    ("n_pulses", True, "n_pulses must be a whole number"),
+    ("seed", True, "seed must be a whole number"),
+    ("quantum_efficiency", True, "quantum_efficiency must be a finite number >= 0 and <= 1"),
+    ("cell_count", True, "cell_count must be a whole number"),
+    ("power_w", True, "power must be a finite number >= 0"),
+    ("loss_factors", [True, 0.99], "loss_factors[0] must be a finite number > 0 and <= 1")]
 
 
 @pytest.mark.parametrize("field, value, message", [
-    *[pytest.param(field, True, f"{field} must be a number, got true", id=field)
-      for field in ("n_pulses", "seed", "quantum_efficiency", "cell_count", "power_w")],
-    *[pytest.param(key, value, f"{name} must be a finite number, got {value!r}",
-                   id=f"{key}-{value!r}") for key, name, value in QE_NON_FINITE]])
+    *[pytest.param(field, value, f"{rule}, got True", id=field)
+      for field, value, rule in BOOL_REFUSALS],
+    *[pytest.param(key, value, f"{rule}, got {value!r}",
+                   id=f"{key}-{value!r}") for key, rule, value in QE_NON_FINITE]])
 def test_simulate_boolean_number_exit_2(tmp_path, capsys, field, value, message):
     sim = {"model": dict(SIM_MODEL), "n_pulses": 2000, "seed": 16}
     command, doc = ("qe", dict(QE_DOC)) if field in QE_DOC else ("simulate", sim)
@@ -191,13 +201,17 @@ def test_non_finite_bin_width_exit_2(tmp_path, capsys, monkeypatch, command, val
     ("max_iterations", {"max_iterations": True}),
     ("x0", {"init": {"x0": True, "delta": 135.0, "stds": [10.0] * 5, "weights": [0.2] * 5}}),
     ("tolerance", {"tolerance": math.nan}),
+    ("std_dev", {"n_peaks": 7, "init": {"x0": 0.0, "delta": 135.0, "stds": [True] * 7,
+                                        "weights": [1 / 7] * 7}}),
 ])
 def test_fit_boolean_number_exit_2(tmp_path, sim_config, capsys, field, extra):
     _, out = run_sim(tmp_path, sim_config)
     fit_cfg = write_config(tmp_path / "fit.json", dict(FIT_DOC, **extra))
     assert main(["fit", str(out / "histogram.csv"), fit_cfg,
                  "--out-dir", str(tmp_path / "fit"), "--quiet"]) == 2
-    rule = "a finite number > 0, got nan" if field == "tolerance" else "a number, got true"
+    rule = {"max_iterations": "a whole number, got True", "x0": "a finite number, got True",
+            "tolerance": "a finite number > 0, got nan",
+            "std_dev": "a finite number > 0, got True"}[field]
     assert f"{field} must be {rule}" in capsys.readouterr().err
 
 
@@ -411,8 +425,9 @@ def test_analyze_too_few_peaks_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("field, value", [("objective", None), ("warnings", 5),
-                                          ("converged", "false"), ("iterations", 2.9)])
+@pytest.mark.parametrize("field, value", [
+    ("objective", None), ("warnings", 5), ("converged", "false"), ("iterations", 2.9),
+    ("peaks", [{"i": i, "mean": 100.0 * i, "std": True, "weight": 1 / 3} for i in range(3)])])
 def test_analyze_mistyped_report_exit_2(tmp_path, capsys, field, value):
     doc = {"constraint": "free",
            "peaks": [{"i": i, "mean": 100.0 * i, "std": 5.0, "weight": 1 / 3}

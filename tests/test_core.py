@@ -12,9 +12,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pnr_lab
-from pnr_lab import (Constraint, DecisionScheme, DetectorModel, FitConfig, GaussianPeak,
-                     Histogram, MixtureModel, NoiseReport, SimConfig, histogram_from_areas,
-                     substream)
+from pnr_lab import (Constraint, DecisionScheme, DetectorModel, EfficiencyInput, FitConfig,
+                     GaussianPeak, Histogram, MixtureModel, NoiseReport, SimConfig,
+                     excess_noise_factor, histogram_from_areas, n_max, photon_flux, substream,
+                     threshold)
 from pnr_lab.core import (_interval_mass, _log_factorials, _normalized_exp, _poisson_log_pmf,
                           _std_normal_cdf_pdf)
 
@@ -199,7 +200,7 @@ def test_detector_model_validation():
         DetectorModel(mean_photon_number=2.0, quantum_efficiency=0.9,
                       gain_per_photon=100.0, mult_noise_var=10.0,
                       electronic_noise_var=5.0, cell_count=0)
-    for bad in (None, "1.0", math.inf, math.nan):
+    for bad in (None, "1.0", math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="area_offset must be a finite number"):
             _small_model(area_offset=bad)
     # the fit config's tolerance takes the same finite-number check
@@ -220,7 +221,22 @@ def _small_model(**extra):
     lambda: DetectorModel(mean_photon_number=True, quantum_efficiency=0.9,
                           gain_per_photon=100.0, mult_noise_var=10.0, electronic_noise_var=5.0),
     lambda: histogram_from_areas(np.array([1.0, 2.0, 3.0]), True),
-], ids=["tolerance", "mean_photon_number", "bin_width"])
+    lambda: GaussianPeak(0, True, 1.0, 0.5),
+    lambda: MixtureModel.from_ladder(True, 100.0, 0.0, [5.0, 6.0], [0.5, 0.5]),
+    lambda: MixtureModel.from_ladder(0.0, 100.0, 0.0, [5.0, True], [0.5, 0.5]),
+    lambda: MixtureModel.from_ladder(0.0, 100.0, 0.0, [5.0, 6.0], [0.5, 0.5],
+                                     Constraint.POISSON_WEIGHTS, poisson_mu=True),
+    lambda: threshold(True, 1.0, 2.0, 1.0),
+    lambda: EfficiencyInput(wavelength=543e-9, power=2e-9, nd_transmission=True,
+                            counts=0.0, dark_counts=0.0),
+    lambda: EfficiencyInput(wavelength=543e-9, power=2e-9, nd_transmission=1e-4,
+                            counts=0.0, dark_counts=0.0, loss_factors=(True, 0.99)),
+    lambda: photon_flux(True, 2e-9),
+    lambda: excess_noise_factor(True, 135.0),
+    lambda: n_max(True),
+], ids=["tolerance", "mean_photon_number", "bin_width", "peak_mean", "x0", "std_devs",
+        "poisson_mu", "threshold", "nd_transmission", "loss_factors", "photon_flux",
+        "excess_noise_factor", "n_max"])
 def test_finite_number_fields_refuse_bools(make):
     with pytest.raises(ValueError, match="must be a finite number.*got True"):
         make()
@@ -339,7 +355,7 @@ def test_from_ladder_rejects_bad_weights():
 
 
 def test_mixture_refuses_non_numeric_poisson_mu():
-    with pytest.raises(TypeError, match="poisson_mu must be a number"):
+    with pytest.raises(ValueError, match="poisson_mu must be a finite number"):
         MixtureModel.from_ladder(0.0, 100.0, 0.0, [5.0, 6.0], [0.5, 0.5],
                                  Constraint.POISSON_WEIGHTS, poisson_mu="1.5")
 
@@ -389,8 +405,8 @@ def test_gaussian_peak_fields():
     assert (p.index, p.mean, p.std_dev, p.weight) == (2, 275.0, 31.7, 0.25)
     for field in ("mean", "std_dev", "weight"):
         for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError, match=f"peak {field} must be finite"):
+            with pytest.raises(ValueError, match=f"peak {field} must be a finite number"):
                 GaussianPeak(**{"index": 2, "mean": 275.0, "std_dev": 31.7, "weight": 0.25,
                                 field: bad})
-    with pytest.raises(ValueError, match="peak std_dev must be finite and > 0"):
+    with pytest.raises(ValueError, match="peak std_dev must be a finite number > 0"):
         GaussianPeak(index=2, mean=275.0, std_dev=0.0, weight=0.25)

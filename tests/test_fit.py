@@ -343,18 +343,21 @@ DESIGN_BOX = np.array([(0.5, 5.0), (0.5, 0.95), (100.0, 200.0),
                        (0.05, 0.2), (0.05, 0.12), (0.0, 0.15)])
 
 
+def box_model(mean_detected, qe, gain, m_rel, e_rel, o_rel) -> DetectorModel:
+    """The detector at one point of DESIGN_BOX."""
+    return DetectorModel(mean_photon_number=mean_detected / qe, quantum_efficiency=qe,
+                         gain_per_photon=gain, mult_noise_var=(m_rel * gain) ** 2,
+                         electronic_noise_var=(e_rel * gain) ** 2,
+                         extra_per_photon_var=(o_rel * gain) ** 2)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_a_fit_is_certified_where_a_tight_refit_confirms_it(seed):
     # uniform over the box, as the benchmark draws its designs
     rng = np.random.default_rng(seed)
     lo, hi = DESIGN_BOX.T
-    mean_detected, qe, gain, m_rel, e_rel, o_rel = lo + rng.random(6) * (hi - lo)
-    model = DetectorModel(mean_photon_number=mean_detected / qe, quantum_efficiency=qe,
-                          gain_per_photon=gain, mult_noise_var=(m_rel * gain) ** 2,
-                          electronic_noise_var=(e_rel * gain) ** 2,
-                          extra_per_photon_var=(o_rel * gain) ** 2)
-    _, hist = run(SimConfig(model, 20_000, seed))
+    _, hist = run(SimConfig(box_model(*(lo + rng.random(6) * (hi - lo))), 20_000, seed))
     for constraint in Constraint:
         try:
             rep = fit_spectrum(hist, FitConfig(constraint=constraint))
@@ -375,6 +378,17 @@ def test_a_fit_is_certified_where_a_tight_refit_confirms_it(seed):
         # and so is a fit that ended within 0.1 sigma of it
         assert tight.converged or not confirmed, (constraint, tight.iterations)
         assert rep.converged or not close, (constraint, rep.iterations, tight.iterations)
+
+
+def test_undamped_decrement_of_a_near_collapsed_width_stays_finite():
+    # a log-sigma column near collapse leaves a tiny but positive diagonal
+    # entry in J^T W J, whose 1/sqrt scale squared overflows; under the
+    # suite's warnings-as-errors such an overflow raises instead of reporting
+    model = box_model(3.731838, 0.804609, 160.219541, 0.121439, 0.080069, 0.119453)
+    _, hist = run(SimConfig(model, 20_000, 4111506281))
+    rep = fit_spectrum(hist, FitConfig())
+    assert not rep.converged and rep.iterations == 74
+    assert rep.warnings[-1].startswith("stalled: ")
 
 
 def test_pipeline_config_fit_does_not_depend_on_its_start():

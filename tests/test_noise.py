@@ -77,6 +77,8 @@ def test_photon_flux_rejects_bad_inputs():
         photon_flux(0.0, 1e-9)
     with pytest.raises(ValueError):
         photon_flux(543e-9, -1e-9)
+    with pytest.raises(ValueError, match="wavelength must be a finite number > 0, got nan"):
+        photon_flux(math.nan, 2e-9)
 
 
 # ---------------------------------------------------------------- efficiency
@@ -145,6 +147,8 @@ def test_excess_noise_factor_validation():
         excess_noise_factor(276.0, 0.0)
     with pytest.raises(ValueError):
         excess_noise_factor(-1.0, 135.0)
+    with pytest.raises(ValueError, match="mult_noise_var must be a finite number >= 0, got nan"):
+        excess_noise_factor(math.nan, 135.0)
 
 
 def test_n_max_values():
@@ -164,6 +168,8 @@ def test_n_max_limits_and_domain():
     assert n_max(1.0) == math.inf
     with pytest.raises(ValueError):
         n_max(0.99)
+    with pytest.raises(ValueError, match="enf must be a finite number >= 1, got nan"):
+        n_max(math.nan)
 
 
 # ---------------------------------------------------------------- variance law
