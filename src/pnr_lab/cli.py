@@ -185,7 +185,7 @@ def _fit(hist: Histogram, cfg: FitConfig, args, output) -> FitReport:
     k = report.model.n_peaks
     write_table(output("fit_curve.csv"),
                 "bin_center,count," + "".join(f"peak_{i}," for i in range(k)) + "model_total",
-                "{:.10g},{}" + ",{:.10g}" * (k + 1),
+                (".10g", "") + (".10g",) * (k + 1),
                 hist.centers, hist.counts, *per_peak, total_curve)
     _say(args, f"fit {'converged' if report.converged else 'DID NOT converge'} "
          f"after {report.iterations} iterations -> {report_path}")
@@ -205,7 +205,7 @@ def _analyze(report: FitReport, args, output) -> None:
                                     "noise": noise_report}))
 
     n = np.arange(k)
-    write_table(output("errors_vs_n.csv"), "n,error", "{},{:.10g}", n, scheme.error_per_number)
+    write_table(output("errors_vs_n.csv"), "n,error", ("", ".10g"), n, scheme.error_per_number)
 
     std = model.std_devs()
     var = std ** 2
@@ -213,7 +213,7 @@ def _analyze(report: FitReport, args, output) -> None:
     components = (var[0], noise_report.sigma_0_sq, noise_report.sigma_m_sq)
     law = (_variance_parts(k) * components).sum(axis=1)
     write_table(output("variance_vs_n.csv"), "n,std_dev,variance,law_variance",
-                "{},{:.10g},{:.10g},{:.10g}", n, std, var, law)
+                ("",) + (".10g",) * 3, n, std, var, law)
     _say(args, f"analysis -> {analysis_path}")
 
 

@@ -31,7 +31,7 @@ __all__ = [
     "substream",
 ]
 
-_MASK64 = (1 << 64) - 1
+_MAX_U64 = (1 << 64) - 1
 
 
 class DegenerateDesignError(ValueError):
@@ -51,7 +51,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
     simulation reproducible: work split across N workers touches the same
     streams in the same per-chunk order regardless of N.
     """
-    key = np.array([_whole("seed", seed) & _MASK64, _whole("stream index", index, 0) & _MASK64],
+    key = np.array([_whole("seed", seed, 0, _MAX_U64), _whole("stream index", index, 0, _MAX_U64)],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -148,10 +148,10 @@ def _finite(name: str, value, above=None, at_least=None, at_most=None) -> None:
     raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
-def _whole(name: str, value, least=None) -> int:
+def _whole(name: str, value, least=None, most=None) -> int:
     """`value` as an int: an int, or a float with no fractional part (JSON may
-    write 1e5), and at least `least` when that is given.  Bools, fractions and
-    non-numbers are refused; a plain int skips the type checks."""
+    write 1e5), within [`least`, `most`] where those are given.  Bools,
+    fractions and non-numbers are refused; a plain int skips the type checks."""
     if type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)):
             raise TypeError(f"{name} must be a whole number, got {value!r}")
@@ -160,6 +160,8 @@ def _whole(name: str, value, least=None) -> int:
         value = int(value)
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value}")
     return value
 
 

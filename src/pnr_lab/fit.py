@@ -490,6 +490,9 @@ def report_from_json(doc: dict) -> FitReport:
         warnings = doc.get("warnings", [])
         if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
             raise TypeError(f"warnings must be a list of strings, got {warnings!r}")
+        objective = doc.get("objective", math.nan)
+        if not isinstance(objective, float):    # JSON's NaN and Infinity read as floats
+            _finite("objective", objective)
         converged = doc.get("converged", False)
         if not isinstance(converged, bool):
             raise TypeError(f"converged must be true or false, got {converged!r}")
@@ -499,7 +502,7 @@ def report_from_json(doc: dict) -> FitReport:
             poisson_mu=doc.get("mu"))
         return FitReport(
             model=model,
-            objective=float(doc.get("objective", math.nan)),
+            objective=float(objective),
             iterations=_whole("iterations", doc.get("iterations", 0), 0),
             converged=converged,
             warnings=tuple(warnings),

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DetectorModel, Histogram, _finite, _log_factorials, _poisson_log_pmf, _whole,
-                   substream)
+from .core import (_MAX_U64, DetectorModel, Histogram, _finite, _log_factorials,
+                   _poisson_log_pmf, _whole, substream)
 
 __all__ = [
     "CHUNK_PULSES",
@@ -52,7 +52,9 @@ MAX_PULSES = 10_000_000      # storage budget guard (~240 MB of records)
 MAX_BINS = 1_000_000         # histogram budget guard (16 MB of edges and counts)
 MAX_POISSON_MEAN = 1e6       # the draw table holds mu + 12*sqrt(mu) + 20 log-factorials
 MAX_CELL_DETECTIONS = 2_000_000  # expected detections in a chunk with cell_count set (~45 B each)
+MAX_CELL_COUNT = (2**63 - 1) // CHUNK_PULSES  # a chunk's (pulse, cell) keys stay within int64
 CSV_VERSION = "# pnr-lab v1"
+_TABLE_ROWS = 4096           # rows per block of text a table writer holds
 
 PULSE_DTYPE = np.dtype([
     ("true_incident", np.int64),   # photons arriving at the detector
@@ -85,7 +87,7 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_pulses", _whole("n_pulses", self.n_pulses, 1))
-        object.__setattr__(self, "seed", _whole("seed", self.seed))
+        object.__setattr__(self, "seed", _whole("seed", self.seed, 0, _MAX_U64))
         if self.n_pulses > MAX_PULSES:
             raise CapacityError(
                 f"n_pulses={self.n_pulses} exceeds the storage budget of {MAX_PULSES}")
@@ -96,6 +98,9 @@ class SimConfig:
                     f"{name}={mu!r} exceeds the Poisson mean budget of {MAX_POISSON_MEAN:g}")
         if self.model.cell_count is not None:
             m = self.model
+            if m.cell_count > MAX_CELL_COUNT:
+                raise CapacityError(
+                    f"cell_count={m.cell_count} exceeds the int64 key budget of {MAX_CELL_COUNT}")
             per_chunk = (m.mean_photon_number * m.quantum_efficiency
                          + m.dark_rate_per_gate) * CHUNK_PULSES
             if per_chunk > MAX_CELL_DETECTIONS:
@@ -237,25 +242,33 @@ def histogram_from_areas(areas: np.ndarray, bin_width: float) -> Histogram:
 # CSV exchange formats (versioned)
 # ---------------------------------------------------------------------------
 
-def write_table(path, header: str, row_format: str, *columns) -> None:
+def write_table(path, header: str, specs, *columns) -> None:
     """Write a pnr-lab v1 table: the version line, `header` (one or more
-    lines), then `row_format` over the aligned 1-D `columns`, one line per row.
-
-    Rows go out in CHUNK_PULSES blocks, keeping the text buffer bounded.
-    tolist() yields Python scalars, so a `{!r}` float field is the shortest
-    string that parses back to the same float: files round-trip exactly.
-    """
-    line = (row_format + "\n").format
+    lines), then the aligned 1-D `columns`, one line per row, each column by
+    its format spec in `specs` ("r" for repr).  A block of _TABLE_ROWS rows at
+    a time is formatted column by column and its strings joined into rows, so
+    the text held stays bounded.  tolist() yields Python scalars, so an "r"
+    float is the shortest string that parses back to the same float: files
+    round-trip exactly."""
     columns = [np.asarray(c) for c in columns]
+    formats = [repr if spec == "r" else f"{{:{spec}}}".format for spec in specs]
     with open(path, "w") as fh:
         fh.write(f"{CSV_VERSION}\n{header}\n")
-        for start in range(0, len(columns[0]), CHUNK_PULSES):
-            fh.write("".join(map(line, *(c[start:start + CHUNK_PULSES].tolist()
-                                         for c in columns))))
+        for start in range(0, len(columns[0]), _TABLE_ROWS):
+            text = [_strings(c[start:start + _TABLE_ROWS], f) for c, f in zip(columns, formats)]
+            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
+
+
+def _strings(block: np.ndarray, fmt):
+    """`fmt` over a column block, formatting each distinct whole number once."""
+    values = block.tolist()
+    if block.dtype.kind in "iu":
+        fmt = {v: fmt(v) for v in set(values)}.__getitem__
+    return map(fmt, values)
 
 
 def write_pulses_csv(path, records: np.ndarray) -> None:
-    write_table(path, "true_incident,true_detected,area", "{},{},{!r}",
+    write_table(path, "true_incident,true_detected,area", ("", "", "r"),
                 records["true_incident"], records["true_detected"], records["area"])
 
 
@@ -270,7 +283,7 @@ def read_pulses_csv(path) -> np.ndarray:
 def write_histogram_csv(path, hist: Histogram) -> None:
     write_table(path, f"# total_pulses={hist.total_pulses} underflow={hist.underflow} "
                       f"overflow={hist.overflow}\nbin_left,bin_right,count",
-                "{!r},{!r},{}", hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts)
+                ("r", "r", ""), hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts)
 
 
 def read_histogram_csv(path) -> Histogram:

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from pnr_lab import (EfficiencyInput, FitConfig, Histogram, MixtureModel, __version__,
                      build_scheme, confusion, expected_counts, fit_spectrum,
-                     measured_efficiency, photon_flux, read_histogram_csv, report_to_json,
-                     variance_law, write_histogram_csv)
+                     measured_efficiency, photon_flux, read_histogram_csv, read_pulses_csv,
+                     report_to_json, variance_law, write_histogram_csv)
 from pnr_lab.cli import _json, main
 
 from conftest import RANK_DEFICIENT_INIT, REF_MULT_VAR, law_stds
@@ -146,6 +146,34 @@ def test_simulate_cell_assignment_beyond_budget_exit_2(tmp_path, capsys):
     assert ("assign 6.96e+09 expected detections per 8192-pulse chunk, over the budget "
             "of 2000000") in err and "Traceback" not in err
     assert not (tmp_path / "o" / "pulses.csv").exists()
+
+
+@pytest.mark.parametrize("extra, model, message", [
+    (("--seed", str(2**64)), {}, f"seed must be <= {2**64 - 1}, got {2**64}"),
+    (("--seed=-1",), {}, "seed must be >= 0, got -1"),
+    # 10**30 was numpy's "high is out of bounds for int64"; 2**60 wrapped the
+    # sampler's int64 (pulse, cell) keys
+    ((), {"cell_count": 10**30}, f"cell_count={10**30} exceeds the int64 key budget"),
+    ((), {"cell_count": 2**60}, f"cell_count={2**60} exceeds the int64 key budget")],
+    ids=["seed-2**64", "seed--1", "cell_count-10**30", "cell_count-2**60"])
+def test_simulate_seed_or_cell_count_beyond_64_bits_exit_2(tmp_path, capsys, extra, model,
+                                                           message):
+    doc = {"model": dict(SIM_MODEL, **model), "n_pulses": 2000, "seed": 16}
+    cfg = write_config(tmp_path / "big.json", doc)
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "o"), "--quiet", *extra]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "pulses.csv").exists()
+
+
+@pytest.mark.parametrize("extra, model", [(("--seed", str(2**64 - 1)), {}),
+                                          ((), {"cell_count": 10**12})],
+                         ids=["seed-2**64-1", "cell_count-10**12"])
+def test_simulate_largest_seed_and_a_large_cell_count_run(tmp_path, extra, model):
+    doc = {"model": dict(SIM_MODEL, **model), "n_pulses": 2000, "seed": 16}
+    cfg = write_config(tmp_path / "big.json", doc)
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "o"), "--quiet", *extra]) == 0
+    assert len(read_pulses_csv(tmp_path / "o" / "pulses.csv")) == 2000
 
 
 # qe's readings, like the detector model, refuse the NaN and Infinity that
@@ -427,7 +455,8 @@ def test_analyze_too_few_peaks_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("objective", None), ("warnings", 5), ("converged", "false"), ("iterations", 2.9),
-    ("peaks", [{"i": i, "mean": 100.0 * i, "std": True, "weight": 1 / 3} for i in range(3)])])
+    ("peaks", [{"i": i, "mean": 100.0 * i, "std": True, "weight": 1 / 3} for i in range(3)]),
+    ("objective", True), ("objective", "12.5")])
 def test_analyze_mistyped_report_exit_2(tmp_path, capsys, field, value):
     doc = {"constraint": "free",
            "peaks": [{"i": i, "mean": 100.0 * i, "std": 5.0, "weight": 1 / 3}

@@ -75,6 +75,15 @@ def test_substream_independent_indices():
     assert not np.array_equal(a, b)
 
 
+def test_substream_refuses_seeds_beyond_64_bits():
+    # seeds were masked to 64 bits, so 10**30 ran as 10**30 % 2**64
+    for seed, message in [(-1, "seed must be >= 0"), (2**64, "seed must be <= "),
+                          (10**30, "seed must be <= ")]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            substream(seed, 0)
+    substream(2**64 - 1, 0)
+
+
 def test_substream_seed_matters():
     assert not np.array_equal(substream(1, 5).standard_normal(4),
                               substream(2, 5).standard_normal(4))

@@ -459,7 +459,8 @@ def test_report_json_schema(law_model):
 def test_report_json_round_trip(law_model):
     h = synthetic_hist(law_model, n=100_000, seed=29)
     rep = fit_spectrum(h, FitConfig(n_peaks=7))
-    back = report_from_json(report_to_json(rep))
+    back = report_from_json(json.loads(json.dumps(report_to_json(rep))))
+    assert back.objective == rep.objective
     assert np.allclose(back.model.means(), rep.model.means())
     assert np.allclose(back.model.std_devs(), rep.model.std_devs())
     assert np.allclose(back.model.weights(), rep.model.weights())
@@ -476,8 +477,10 @@ def test_report_from_json_rejects_garbage():
                           "iterations": 1})
 
 
-@pytest.mark.parametrize("field, value", [("objective", None), ("warnings", 5),
-                                          ("warnings", "rank"), ("converged", "false"),
+@pytest.mark.parametrize("field, value", [("objective", None), ("objective", True),
+                                          ("objective", "12.5"),
+                                          pytest.param("objective", 10**400, id="objective-10**400"),
+                                          ("warnings", 5), ("warnings", "rank"), ("converged", "false"),
                                           ("converged", 1), ("converged", None),
                                           ("iterations", 2.9), ("iterations", -1),
                                           ("iterations", True), ("iterations", "3")])
@@ -498,6 +501,9 @@ def test_report_from_json_defaults_missing_fields():
     assert rep.converged is False and rep.iterations == 0 and np.isnan(rep.objective)
     rep = report_from_json(dict(doc, converged=True, iterations=3.0))
     assert rep.converged is True and rep.iterations == 3 and type(rep.iterations) is int
+    # a JSON number, NaN included, is an objective
+    assert report_from_json(dict(doc, objective=12)).objective == 12.0
+    assert np.isnan(report_from_json(dict(doc, objective=math.nan)).objective)
 
 
 def test_expected_counts_totals(law_model):

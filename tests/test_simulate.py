@@ -8,6 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnr_lab import (CapacityError, DetectorModel, FormatError, SimConfig,
                      histogram_from_areas, read_histogram_csv, read_pulses_csv,
@@ -284,7 +286,7 @@ def test_pulse_csv_round_trip(tmp_path, monkeypatch):
 
 
 def test_pulse_csv_writer_matches_per_row_format(tmp_path):
-    # 8192 + 5 rows cross the writer's block boundary; the awkward areas
+    # 8192 + 5 rows cross the writer's block boundaries; the awkward areas
     # are the shortest-repr cases (subnormal, exponent forms, signed zero,
     # non-finite) a vectorised formatter could get wrong
     n = CHUNK_PULSES + 5
@@ -303,6 +305,87 @@ def test_pulse_csv_writer_matches_per_row_format(tmp_path):
     assert p.read_bytes() == oracle.encode()
     back = read_pulses_csv(p)
     assert np.array_equal(back.view(np.uint8), recs.view(np.uint8))
+
+
+def render_by_row_format(header, specs, *columns) -> str:
+    """A table as the writer rendered it before it went column-wise: one
+    `str.format` call per row over the tolist()ed columns."""
+    row_format = ",".join("{!r}" if spec == "r" else f"{{:{spec}}}" for spec in specs)
+    return f"# pnr-lab v1\n{header}\n" + "".join(
+        map((row_format + "\n").format, *(np.asarray(c).tolist() for c in columns)))
+
+
+TABLE_ROWS = simulate._TABLE_ROWS
+
+
+def random_column(draw, rng, n, integer):
+    """n values: int64 counts with repeats or over the whole int64 range, or
+    float64 of random bit patterns or at pulse-area scale.  The awkward values
+    (int64's ends; both zeros, a subnormal, exponent forms and non-finite
+    floats) and a few drawn ones are spliced in at drawn rows."""
+    if integer:
+        column = (rng.integers(0, 20, n) if draw(st.booleans())
+                  else rng.integers(-2**63, 2**63 - 1, n, endpoint=True))
+        awkward, special = [-2**63, 2**63 - 1, 0, -1], st.integers(-2**63, 2**63 - 1)
+    else:
+        column = (rng.integers(0, 2**64 - 1, n, np.uint64, endpoint=True).view(np.float64)
+                  if draw(st.booleans()) else rng.normal(500.0, 300.0, n))
+        awkward = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-05, 1e+16,
+                   math.nan, math.inf, -math.inf]
+        special = st.floats()
+    if n:
+        column[rng.integers(0, n, len(awkward))] = awkward
+        for value in draw(st.lists(special, max_size=6)):
+            column[draw(st.integers(0, n - 1))] = value
+    return column
+
+
+@st.composite
+def tables(draw, specs=None):
+    """(specs, columns) of 0, 1 or a block's length +-1 rows, or a few: the
+    pulse, histogram and K + 3 column fit_curve.csv layouts, with whole
+    numbers in "" columns, or any specs over int64 and float64 columns."""
+    n = draw(st.sampled_from([0, 1, TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1,
+                              2 * TABLE_ROWS + 1]) | st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    k = draw(st.integers(1, 14))
+    layouts = st.sampled_from([("", "", "r"), ("r", "r", ""), (".10g", "") + (".10g",) * (k + 1)])
+    mixed = specs is None and draw(st.booleans())
+    if mixed:
+        specs = tuple(draw(st.lists(st.sampled_from(["", "r", ".10g"]), min_size=1, max_size=5)))
+    specs = specs or draw(layouts)
+    return specs, [random_column(draw, rng, n, draw(st.booleans()) if mixed else spec == "")
+                   for spec in specs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=tables())
+def test_write_table_matches_the_row_format_renderer(tmp_path_factory, table):
+    specs, columns = table
+    header = ",".join(f"c{i}" for i in range(len(specs)))
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    simulate.write_table(path, header, specs, *columns)
+    assert path.read_bytes() == render_by_row_format(header, specs, *columns).encode()
+
+
+@settings(max_examples=20, deadline=None)
+@given(table=tables(specs=("", "", "r")))
+def test_pulse_csv_round_trips_random_records(tmp_path_factory, table):
+    specs, columns = table
+    recs = np.empty(len(columns[0]), dtype=PULSE_DTYPE)
+    for name, column in zip(PULSE_DTYPE.names, columns):
+        recs[name] = column
+    path = tmp_path_factory.getbasetemp() / "pulses.csv"
+    write_pulses_csv(path, recs)
+    assert path.read_bytes() == render_by_row_format(
+        "true_incident,true_detected,area", specs, *columns).encode()
+    back = read_pulses_csv(path)
+    for name in ("true_incident", "true_detected"):
+        assert np.array_equal(back[name], recs[name])
+    # every area comes back bit for bit, but a NaN reads back as numpy's one NaN
+    area, back_area = recs["area"], back["area"]
+    assert ((area.view(np.int64) == back_area.view(np.int64))
+            | np.isnan(area) & np.isnan(back_area)).all()
 
 
 PULSE_HEAD = "# pnr-lab v1\ntrue_incident,true_detected,area\n"
