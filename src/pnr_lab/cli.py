@@ -168,7 +168,7 @@ def _build_fit_config(doc, context: str) -> FitConfig:
 
 
 def _simulate(cfg: SimConfig, args, output) -> Histogram:
-    records, hist = run(cfg, workers=args.workers)
+    records, hist = run(cfg)
     pulses_path, hist_path = output("pulses.csv"), output("histogram.csv")
     write_pulses_csv(pulses_path, records)
     write_histogram_csv(hist_path, hist)
@@ -286,8 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common],
                        help="generate pulses and a histogram from a detector model")
     p.add_argument("config", help="simulation config JSON")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker threads (output is identical for any value)")
+    p.add_argument("--workers", type=int, default=1, help="ignored; chunks are drawn in order")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", parents=[common],
@@ -301,15 +300,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("fit_report", help="fit report JSON")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("qe", parents=[common],
-                       help="quantum efficiency from counter readings")
+    p = sub.add_parser("qe", help="quantum efficiency from counter readings")
     p.add_argument("config", help="efficiency config JSON")
     p.set_defaults(func=cmd_qe)
 
     p = sub.add_parser("pipeline", parents=[common],
                        help="simulate, fit and analyze in one run")
     p.add_argument("config", help="pipeline config JSON with 'simulate' and 'fit' sections")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="ignored; chunks are drawn in order")
     p.set_defaults(func=cmd_pipeline)
     return parser
 

@@ -47,9 +47,8 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
     Streams are derived by counter-based splitting (Philox keyed on
     (seed, index)), so any consumer can draw from stream k without
-    generating streams 0..k-1 first.  This is what makes parallel
-    simulation reproducible: work split across N workers touches the same
-    streams in the same per-chunk order regardless of N.
+    generating streams 0..k-1 first.  The simulator draws pulse chunk k
+    from stream k, so the seed and k alone fix that chunk's draws.
     """
     key = np.array([_whole("seed", seed, 0, _MAX_U64), _whole("stream index", index, 0, _MAX_U64)],
                    dtype=np.uint64)
@@ -454,20 +453,18 @@ class DecisionScheme:
     error_per_number: tuple
 
     def __post_init__(self):
-        thr = tuple(float(t) for t in self.thresholds)
-        if any(not math.isfinite(t) for t in thr):
-            raise ValueError("thresholds must be finite")
+        # errors are not bounded below: the tail masses behind them are not
+        # shown to be >= 0 to the last ulp
+        for name, least in (("thresholds", None), ("priors", 0), ("error_per_number", None)):
+            values = tuple(getattr(self, name))
+            for i, v in enumerate(values):
+                _finite(f"{name}[{i}]", v, at_least=least)
+            object.__setattr__(self, name, tuple(map(float, values)))
+        thr = self.thresholds
         if any(b <= a for a, b in zip(thr, thr[1:])):
             raise ValueError("thresholds must be strictly increasing")
-        pri = tuple(float(p) for p in self.priors)
-        if any(p < 0 for p in pri):
-            raise ValueError("priors must be >= 0")
-        err = tuple(float(e) for e in self.error_per_number)
-        if len(pri) != len(thr) + 1 or len(err) != len(thr) + 1:
+        if len(self.priors) != len(thr) + 1 or len(self.error_per_number) != len(thr) + 1:
             raise ValueError("need exactly K-1 thresholds for K classes")
-        object.__setattr__(self, "thresholds", thr)
-        object.__setattr__(self, "priors", pri)
-        object.__setattr__(self, "error_per_number", err)
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,17 @@ class ConfusionMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("confusion matrix must be square")
-        if np.abs(m.sum(axis=1) - 1.0).max() > 1e-9:
+        for i, row in enumerate(m.tolist()):
+            for j, v in enumerate(row):
+                _finite(f"confusion matrix[{i}, {j}]", v)
+        if not np.abs(m.sum(axis=1) - 1.0).max() <= 1e-9:   # a NaN sum fails too
             raise ValueError("confusion matrix rows must sum to 1 within 1e-9")
+        pri = tuple(self.priors)
+        for i, p in enumerate(pri):
+            _finite(f"priors[{i}]", p, at_least=0)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "priors", tuple(float(p) for p in self.priors))
+        object.__setattr__(self, "priors", tuple(map(float, pri)))
 
 
 def threshold(x_i: float, sigma_i: float, x_next: float, sigma_next: float) -> float:

@@ -12,10 +12,9 @@ Summing d independent per-detection Gaussian gains and one electronics term
 produces exactly this Gaussian, so the sampler draws the aggregate directly;
 subpopulation means and variances are identical either way.
 
-Reproducibility: pulses are generated in fixed-size chunks, chunk k always
-drawing from `core.substream(seed, k)`, and chunks are concatenated in index
-order.  Output is therefore bit-identical no matter how many worker threads
-are used.
+Reproducibility: pulses are generated in fixed-size chunks, drawn in index
+order, chunk k always from `core.substream(seed, k)`.  A seed therefore fixes
+every byte of the output.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import os
 import re
 import stat
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -162,8 +160,6 @@ def _sample_chunk(model: DetectorModel, rng: np.random.Generator, n: int,
     incident = _poisson_inverse(rng, incident_cdf, n)
     if model.quantum_efficiency == 1.0:
         detected = incident.copy()
-    elif model.quantum_efficiency == 0.0:
-        detected = np.zeros(n, dtype=np.int64)
     else:
         detected = rng.binomial(incident, model.quantum_efficiency).astype(np.int64)
     if model.dark_rate_per_gate > 0:
@@ -190,21 +186,13 @@ def run(config: SimConfig, workers: int = 1):
 
     Returns (records, histogram) where records is a structured array with
     fields true_incident/true_detected/area.  Deterministic for a fixed
-    seed; `workers` only changes wall-clock time, never the output.
+    seed.  `workers` is accepted and ignored: chunks are drawn in order.
     """
-    n_chunks = (config.n_pulses + CHUNK_PULSES - 1) // CHUNK_PULSES
     model = config.model
     cdfs = _poisson_cdf(model.mean_photon_number), _poisson_cdf(model.dark_rate_per_gate)
-
-    def one_chunk(k: int) -> np.ndarray:
-        size = min(CHUNK_PULSES, config.n_pulses - k * CHUNK_PULSES)
-        return _sample_chunk(model, substream(config.seed, k), size, *cdfs)
-
-    if workers <= 1 or n_chunks == 1:
-        parts = [one_chunk(k) for k in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_chunk, range(n_chunks)))
+    parts = [_sample_chunk(model, substream(config.seed, k),
+                           min(CHUNK_PULSES, config.n_pulses - start), *cdfs)
+             for k, start in enumerate(range(0, config.n_pulses, CHUNK_PULSES))]
     records = np.concatenate(parts)
     hist = histogram_from_areas(records["area"], config.resolved_bin_width)
     return records, hist

@@ -87,6 +87,7 @@ def test_simulate_reruns_are_byte_identical(tmp_path, sim_config):
 
 
 def test_simulate_worker_count_does_not_change_bytes(tmp_path, sim_config):
+    # --workers is accepted and ignored: the flag still parses and moves no byte
     _, out_1 = run_sim(tmp_path, sim_config, "w1", ("--workers", "1"))
     _, out_4 = run_sim(tmp_path, sim_config, "w4", ("--workers", "4"))
     for name in ("pulses.csv", "histogram.csv"):
@@ -204,7 +205,8 @@ def test_simulate_boolean_number_exit_2(tmp_path, capsys, field, value, message)
     command, doc = ("qe", dict(QE_DOC)) if field in QE_DOC else ("simulate", sim)
     (doc if field in doc else doc["model"])[field] = value
     cfg = write_config(tmp_path / "bool.json", doc)
-    assert main([command, cfg, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
+    flags = [] if command == "qe" else ["--out-dir", str(tmp_path / "o"), "--quiet"]
+    assert main([command, cfg, *flags]) == 2
     out, err = capsys.readouterr()
     assert message in err and out == ""
     assert not (tmp_path / "o" / "pulses.csv").exists()
@@ -275,7 +277,8 @@ def test_non_object_config_exit_2(tmp_path, capsys, command, doc):
     write_histogram_csv(hist, Histogram(bin_edges=np.linspace(0, 100, 11),
                                         counts=np.ones(10, dtype=np.int64), total_pulses=10))
     argv = [command, *([str(hist)] if command == "fit" else []), cfg]
-    assert main([*argv, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 2
+    flags = [] if command == "qe" else ["--out-dir", str(tmp_path / "o"), "--quiet"]
+    assert main([*argv, *flags]) == 2
     assert "expected an object" in capsys.readouterr().err
     assert not (tmp_path / "o" / "pulses.csv").exists()
 
@@ -337,7 +340,8 @@ def test_no_config_value_crashes_the_cli(sweep_dir, command, path, value):
     else:
         doc = value
     cfg = write_config(sweep_dir / "cfg.json", doc)
-    assert main([command, cfg, "--out-dir", str(sweep_dir / "out"), "--quiet"]) in (0, 2, 4)
+    flags = [] if command == "qe" else ["--out-dir", str(sweep_dir / "out"), "--quiet"]
+    assert main([command, cfg, *flags]) in (0, 2, 4)
 
 
 def test_malformed_json_exit_2(tmp_path, capsys):
@@ -486,6 +490,17 @@ def test_qe_command(tmp_path, capsys):
     assert doc["calibration_suspect"] is False
 
 
+@pytest.mark.parametrize("flag", [("--seed", "1"), ("--out-dir", "run"), ("--quiet",)],
+                         ids=lambda f: f[0])
+def test_qe_takes_only_its_config(tmp_path, capsys, flag):
+    # qe writes nothing and draws nothing: a flag it would ignore is refused
+    cfg = write_config(tmp_path / "qe.json", QE_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main(["qe", cfg, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_qe_zero_power_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "qe.json", {
         "wavelength_m": 543e-9, "power_w": 0.0, "nd_transmission": 1e-4,
@@ -506,6 +521,7 @@ def test_qe_suspect_calibration_still_reports(tmp_path, capsys):
 # ---------------------------------------------------------------- pipeline
 
 def test_pipeline_command(tmp_path):
+    # `--workers 2` is ignored, but scripts that pass it must keep running
     cfg = write_config(tmp_path / "pipe.json", {
         "simulate": {"model": SIM_MODEL, "n_pulses": 30_000, "seed": 3},
         "fit": FIT_DOC,

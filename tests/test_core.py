@@ -37,14 +37,25 @@ def test_no_module_imports_scipy():
     assert importers == set()
 
 
-def test_import_loads_no_scipy():
+def _loaded_after_import(package: str, module: str) -> str:
+    """Whether importing `package` in a fresh interpreter loads `module`."""
     src = str(Path(pnr_lab.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c",
-                           "import sys, pnr_lab; print('scipy' in sys.modules)"],
+                           f"import sys, {package}; print({module!r} in sys.modules)"],
                           env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _loaded_after_import("pnr_lab", "scipy") == "False"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # chunks are drawn in order; concurrent.futures and the logging it pulls
+    # in cost every CLI process several ms of start-up
+    assert _loaded_after_import("pnr_lab.cli", "concurrent.futures") == "False"
 
 
 def test_every_exported_name_resolves():
@@ -398,6 +409,24 @@ def test_decision_scheme_requires_increasing_thresholds():
     with pytest.raises(ValueError):
         DecisionScheme(thresholds=(1.0, 1.0), priors=(1 / 3,) * 3,
                        error_per_number=(0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("field, values, message", [
+    ("thresholds", (1.0, math.inf), r"thresholds\[1\] must be a finite number, got inf"),
+    ("thresholds", (True, 2.0), r"thresholds\[0\] must be a finite number, got True"),
+    ("priors", (0.5, math.nan, 0.5), r"priors\[1\] must be a finite number >= 0, got nan"),
+    ("priors", (0.5, -0.1, 0.6), r"priors\[1\] must be a finite number >= 0, got -0.1"),
+    ("error_per_number", (0.0, math.nan, 0.0),
+     r"error_per_number\[1\] must be a finite number, got nan"),
+])
+def test_decision_scheme_refuses_non_finite_numbers(field, values, message):
+    fields = dict(thresholds=(1.0, 2.0), priors=(1 / 3,) * 3, error_per_number=(0.0,) * 3)
+    fields[field] = values
+    with pytest.raises(ValueError, match=message):
+        DecisionScheme(**fields)
+    # errors are not bounded below: a tail mass may round below 0
+    assert DecisionScheme(thresholds=(1.0, 2.0), priors=(1 / 3,) * 3,
+                          error_per_number=(-1e-17, 0.0, 0.0)).error_per_number[0] == -1e-17
 
 
 def test_noise_report_unbounded_flag():

@@ -241,8 +241,7 @@ def test_classify_against_simulation(ref_detector):
     # simulate, restrict to the 7 modeled photon numbers, decide with the
     # generator's own ladder and the empirical mix, compare the per-region
     # wrong-decision rate against the scheme's prediction
-    recs, _ = run(SimConfig(model=ref_detector, n_pulses=100_000, seed=5),
-                  workers=4)
+    recs, _ = run(SimConfig(model=ref_detector, n_pulses=100_000, seed=5))
     keep = recs["true_detected"] <= 6
     areas, true_d = recs["area"][keep], recs["true_detected"][keep]
     n = len(areas)
@@ -368,6 +367,14 @@ def test_confusion_matrix_validation():
         ConfusionMatrix(bad, (0.5, 0.5))
     with pytest.raises(ValueError):
         ConfusionMatrix(np.ones((2, 3)) / 3, (0.5, 0.5))
+    # a NaN entry makes its row sum NaN, which a `> 1e-9` test would let through
+    with pytest.raises(ValueError, match=r"matrix\[0, 0\] must be a finite number, got nan"):
+        ConfusionMatrix([[math.nan, math.nan], [0.5, 0.5]], (0.5, 0.5))
+    with pytest.raises(ValueError, match=r"matrix\[1, 0\] must be a finite number, got -inf"):
+        ConfusionMatrix([[1.0, 0.0], [-math.inf, math.inf]], (0.5, 0.5))
+    for bad, shown in ((math.nan, "nan"), (-0.5, "-0.5"), (math.inf, "inf")):
+        with pytest.raises(ValueError, match=rf"priors\[1\] must be a finite number >= 0, got {shown}"):
+            ConfusionMatrix(np.eye(2), (0.5, bad))
     model = MixtureModel.from_peaks([0.0, 100.0, 200.0, 300.0], [10.0] * 4)
     for bad in ([0.5, 0.5], [-1, 2, 0, 0], [0, 0, 0, 0], [math.nan, 1, 1, 1],
                 [math.inf, 1, 1, 1]):

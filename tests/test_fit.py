@@ -218,8 +218,7 @@ def test_fit_two_separated_peaks_exactly():
 
 
 def test_fit_recovers_seven_peak_ladder(ref_detector):
-    recs, hist = run(SimConfig(model=ref_detector, n_pulses=100_000, seed=16),
-                     workers=4)
+    recs, hist = run(SimConfig(model=ref_detector, n_pulses=100_000, seed=16))
     # restrict to the subpopulation the 7-peak model describes
     areas = recs["area"][recs["true_detected"] <= 6]
     h = histogram_from_areas(areas, hist.widths[0])
@@ -232,8 +231,7 @@ def test_fit_recovers_seven_peak_ladder(ref_detector):
 
 
 def test_poisson_constraint_recovers_mu(ref_detector):
-    recs, hist = run(SimConfig(model=ref_detector, n_pulses=100_000, seed=16),
-                     workers=4)
+    recs, hist = run(SimConfig(model=ref_detector, n_pulses=100_000, seed=16))
     areas = recs["area"][recs["true_detected"] <= 6]
     h = histogram_from_areas(areas, hist.widths[0])
     rep = fit_spectrum(h, FitConfig(n_peaks=7, constraint=Constraint.POISSON_WEIGHTS))

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import math
 import os
 import re
@@ -37,7 +38,8 @@ def test_same_seed_bit_identical():
 
 
 def test_worker_count_does_not_change_output():
-    # 3 chunks worth of pulses, uneven tail
+    # `workers` is accepted and ignored: the keyword still runs and moves no
+    # byte.  3 chunks worth of pulses, uneven tail
     cfg = SimConfig(model=plain_model(), n_pulses=2 * CHUNK_PULSES + 137, seed=5)
     r1, h1 = run(cfg, workers=1)
     r4, h4 = run(cfg, workers=4)
@@ -48,7 +50,7 @@ def test_worker_count_does_not_change_output():
 def test_detected_counts_are_thinned_poisson():
     # eta-thinned Poisson(4.0) at 85% is Poisson(3.4); compare the full pmf
     cfg = SimConfig(model=plain_model(), n_pulses=100_000, seed=31)
-    recs, _ = run(cfg, workers=4)
+    recs, _ = run(cfg)
     d = recs["true_detected"]
     top = int(d.max()) + 1
     emp = np.bincount(d, minlength=top) / len(d)
@@ -70,6 +72,22 @@ def test_eta_zero_and_one():
     r1, _ = run(SimConfig(model=plain_model(quantum_efficiency=1.0),
                           n_pulses=2000, seed=1))
     assert np.array_equal(r1["true_detected"], r1["true_incident"])
+
+
+@pytest.mark.parametrize("over, digest", [
+    ({}, "1049b7387402ea86805bf0389e2abf4732a95531f1061980c7ba4a32b4a7fe6e"),
+    ({"dark_rate_per_gate": 0.3},
+     "16a9091b11919943cfb7b6bda80b580e1c45c36342213117e4ff3004f353b40e"),
+    ({"dark_rate_per_gate": 0.3, "cell_count": 50},
+     "5dc95a002a30daab9bb87d39a074a1b213e6440857a3c26ade6286f4427655d0"),
+])
+def test_eta_zero_runs_match_pinned_digests(over, digest):
+    # binomial thinning at QE 0 must return zeros and draw nothing, so the
+    # dark, cell and area draws keep their place in each chunk's stream
+    recs, hist = run(SimConfig(model=plain_model(quantum_efficiency=0.0, **over),
+                               n_pulses=2 * CHUNK_PULSES + 137, seed=1))
+    blob = recs.tobytes() + hist.counts.tobytes() + hist.bin_edges.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_dark_counts_add_detections():
@@ -96,8 +114,7 @@ def test_noise_free_multiplication_gives_lattice():
 
 
 def test_subpopulation_mean_and_variance_follow_the_model(ref_detector):
-    recs, _ = run(SimConfig(model=ref_detector, n_pulses=100_000, seed=6),
-                  workers=4)
+    recs, _ = run(SimConfig(model=ref_detector, n_pulses=100_000, seed=6))
     for d in range(7):
         sub = recs["area"][recs["true_detected"] == d]
         if len(sub) < 500:
