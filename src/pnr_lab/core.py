@@ -144,7 +144,18 @@ def _finite(name: str, value, above=None, at_least=None, at_most=None) -> None:
         pass
     bounds = ((">", above), (">=", at_least), ("<=", at_most))
     bound = " and".join(f" {op} {b}" for op, b in bounds if b is not None)
-    raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+    shown = value.item() if isinstance(value, np.generic) else value   # nan, not np.float64(nan)
+    raise ValueError(f"{name} must be a finite number{bound}, got {shown!r}")
+
+
+def _finite_floats(name: str, values, at_least=None) -> tuple:
+    """`values` as a tuple of floats by `_finite`'s rule, in one array pass if all are floats."""
+    values = tuple(values)
+    a = np.array(values, dtype=float) if set(map(type, values)) <= {float, np.float64} else None
+    if a is None or not np.isfinite(a).all() or at_least is not None and not (a >= at_least).all():
+        for i, v in enumerate(values):
+            _finite(f"{name}[{i}]", v, at_least=at_least)
+    return tuple(map(float, values))
 
 
 def _whole(name: str, value, least=None, most=None) -> int:
@@ -272,8 +283,8 @@ class Histogram:
         counts = np.asarray(self.counts)
         if edges.ndim != 1 or len(edges) < 2:
             raise ValueError("bin_edges must be a 1-D array with at least 2 entries")
-        if not np.all(np.diff(edges) > 0):
-            raise ValueError("bin_edges must be strictly increasing")
+        if not (np.all(np.diff(edges) > 0) and np.isfinite(edges[[0, -1]]).all()):
+            raise ValueError("bin_edges must be finite and strictly increasing")
         if counts.shape != (len(edges) - 1,):
             raise ValueError("counts length must be len(bin_edges) - 1")
         if not np.issubdtype(counts.dtype, np.integer):
@@ -456,10 +467,7 @@ class DecisionScheme:
         # errors are not bounded below: the tail masses behind them are not
         # shown to be >= 0 to the last ulp
         for name, least in (("thresholds", None), ("priors", 0), ("error_per_number", None)):
-            values = tuple(getattr(self, name))
-            for i, v in enumerate(values):
-                _finite(f"{name}[{i}]", v, at_least=least)
-            object.__setattr__(self, name, tuple(map(float, values)))
+            object.__setattr__(self, name, _finite_floats(name, getattr(self, name), least))
         thr = self.thresholds
         if any(b <= a for a, b in zip(thr, thr[1:])):
             raise ValueError("thresholds must be strictly increasing")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DecisionScheme, MixtureModel, _finite, _interval_mass
+from .core import DecisionScheme, MixtureModel, _finite, _finite_floats, _interval_mass
 
 __all__ = [
     "ConfusionMatrix",
@@ -46,17 +46,14 @@ class ConfusionMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("confusion matrix must be square")
-        for i, row in enumerate(m.tolist()):
-            for j, v in enumerate(row):
-                _finite(f"confusion matrix[{i}, {j}]", v)
+        if not np.isfinite(m).all():                        # word the first bad entry, row-major
+            i, j = divmod(int(np.isfinite(m).argmin()), len(m))
+            _finite(f"confusion matrix[{i}, {j}]", m[i, j])
         if not np.abs(m.sum(axis=1) - 1.0).max() <= 1e-9:   # a NaN sum fails too
             raise ValueError("confusion matrix rows must sum to 1 within 1e-9")
-        pri = tuple(self.priors)
-        for i, p in enumerate(pri):
-            _finite(f"priors[{i}]", p, at_least=0)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "priors", tuple(map(float, pri)))
+        object.__setattr__(self, "priors", _finite_floats("priors", self.priors, 0))
 
 
 def threshold(x_i: float, sigma_i: float, x_next: float, sigma_next: float) -> float:
@@ -126,13 +123,19 @@ def build_scheme(model: MixtureModel, priors: str = "equal") -> DecisionScheme:
     cuts, pri, mass = _cuts_and_mass(model, priors)
     rel = pri * model.n_peaks  # prior relative to uniform
     err = rel @ mass - rel * mass.diagonal()
-    return DecisionScheme(thresholds=tuple(cuts), priors=tuple(pri),
-                          error_per_number=tuple(float(e) for e in err))
+    return DecisionScheme(thresholds=cuts, priors=pri, error_per_number=err)
+
+
+_LAST_PARTITION = {}    # prior mode -> (model, cuts, priors, mass) of the last model
 
 
 def _cuts_and_mass(model: MixtureModel, priors: str):
     """Cuts, normalized priors and mass[j, i], the unit mass of peak j inside
-    region i of the cuts, for the prior mode of `build_scheme`."""
+    region i of the cuts, for the prior mode of `build_scheme`: a tuple and two
+    read-only arrays, kept for the last model (by identity) of each mode."""
+    last = _LAST_PARTITION.get(priors) if isinstance(priors, str) else None
+    if last is not None and last[0] is model:
+        return last[1:]
     k = model.n_peaks
     if k < 2:
         raise InvalidModelError("need at least 2 peaks for a decision scheme")
@@ -152,10 +155,14 @@ def _cuts_and_mass(model: MixtureModel, priors: str):
         raise ValueError(f"priors must be 'equal' or 'from-weights', got {priors!r}")
     # Python floats: _crossing's scalar math is over twice as slow on numpy scalars
     x, s, g = means.tolist(), sigmas.tolist(), (-np.diff(np.log(pri))).tolist()
-    cuts = [_crossing(x[i], s[i], x[i + 1], s[i + 1], g[i]) for i in range(k - 1)]
+    cuts = tuple(_crossing(x[i], s[i], x[i + 1], s[i + 1], g[i]) for i in range(k - 1))
     mass = _interval_mass([-np.inf, *cuts, np.inf], means, sigmas)[0]
     # C order: matmul and row sums over a transposed view add in another order
-    return cuts, pri, np.ascontiguousarray(mass.T)
+    mass = np.ascontiguousarray(mass.T)
+    for a in (pri, mass):
+        a.setflags(write=False)
+    _LAST_PARTITION[priors] = (model, cuts, pri, mass)
+    return cuts, pri, mass
 
 
 def _checked_priors(priors, k: int) -> np.ndarray:

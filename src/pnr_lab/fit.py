@@ -126,6 +126,12 @@ def init_guess(hist: Histogram, n_peaks="auto") -> MixtureModel:
     model gets two more peaks than maxima found (weak high-number peaks
     rarely clear the prominence cut).
     """
+    x0, spacing, sat, sigmas, weights, _ = _guess(hist, n_peaks)
+    return MixtureModel.from_ladder(x0, spacing, sat, sigmas.tolist(), weights.tolist())
+
+
+def _guess(hist: Histogram, n_peaks):
+    """`init_guess`'s model as `_Problem.pack` takes it."""
     k = _peak_count(n_peaks)
     counts = hist.counts.astype(float)
     if len(counts) < 3:
@@ -159,7 +165,7 @@ def init_guess(hist: Histogram, n_peaks="auto") -> MixtureModel:
                                         spacing / 64.0, spacing / 2.0), spacing / 4.0)
     weights = np.maximum(mass / max(mass.sum(), 1.0), 1e-6)
     weights /= weights.sum()
-    return MixtureModel.from_ladder(x0, spacing, 0.0, sigmas.tolist(), weights.tolist())
+    return x0, spacing, 0.0, sigmas, weights, None
 
 
 def _plateau_maxima(y: np.ndarray, floor: float) -> np.ndarray:
@@ -216,18 +222,17 @@ class _Problem:
     def n_params(self) -> int:
         return 3 + self.n_width + (1 if self.poisson else self.k - 1)
 
-    def pack(self, model: MixtureModel) -> np.ndarray:
+    def pack(self, x0, spacing, sat, sig, weights, mu) -> np.ndarray:
+        """Parameter vector of a ladder model, given as `unpack` returns it."""
         k = self.k
-        head = [model.x0, model.spacing, model.sat]
-        w = np.maximum(model.weights(), 1e-12)
+        head = [x0, spacing, sat]
+        w = np.maximum(weights, 1e-12)
         logits = list(np.log(w[1:] / w[0]))
-        sig = model.std_devs()
         if self.constraint is Constraint.FREE_WEIGHTS_FREE_SIGMAS:
             return np.array(head + list(np.log(sig)) + logits)
         if self.constraint is Constraint.POISSON_WEIGHTS:
-            mu = model.poisson_mu
             if mu is None or mu <= 0:
-                mu = max(float(np.sum(model.weights() * self.idx)), 0.1)
+                mu = max(float(np.sum(weights * self.idx)), 0.1)
             return np.array(head + list(np.log(sig)) + [math.log(mu)])
         # LINEAR_VARIANCE: split the sigma ladder into its three components
         mean_var = float(np.mean(sig**2))
@@ -356,12 +361,12 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
     if hist.counts.sum() == 0:
         raise FitSetupError("histogram has no counts")
     init = cfg.init
-    if init is None:
-        init = init_guess(hist, cfg.n_peaks)
-    elif isinstance(cfg.n_peaks, int) and cfg.n_peaks != init.n_peaks:
+    if init is not None and isinstance(cfg.n_peaks, int) and cfg.n_peaks != init.n_peaks:
         raise FitSetupError(
             f"n_peaks={cfg.n_peaks} conflicts with explicit init of {init.n_peaks} peaks")
-    k = init.n_peaks
+    start = _guess(hist, cfg.n_peaks) if init is None else (
+        init.x0, init.spacing, init.sat, init.std_devs(), init.weights(), init.poisson_mu)
+    k = len(start[3])
     if k < 2:
         raise FitSetupError("need at least 2 peaks to fit")
     prob = _Problem(hist, cfg.constraint, k)
@@ -373,7 +378,7 @@ def fit_spectrum(hist: Histogram, cfg: FitConfig) -> FitReport:
             f"(need at least {4 * n_params})")
 
     warnings = []
-    p = prob.pack(init)
+    p = prob.pack(*start)
     r, obj, means, parts = prob.evaluate(p)
 
     excess = _window_excess(means, prob.edges)

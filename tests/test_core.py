@@ -16,7 +16,7 @@ from pnr_lab import (Constraint, DecisionScheme, DetectorModel, EfficiencyInput,
                      GaussianPeak, Histogram, MixtureModel, NoiseReport, SimConfig,
                      excess_noise_factor, histogram_from_areas, n_max, photon_flux, substream,
                      threshold)
-from pnr_lab.core import (_interval_mass, _log_factorials, _normalized_exp, _poisson_log_pmf,
+from pnr_lab.core import (_finite, _interval_mass, _log_factorials, _normalized_exp, _poisson_log_pmf,
                           _std_normal_cdf_pdf)
 
 
@@ -262,6 +262,15 @@ def test_finite_number_fields_refuse_bools(make):
         make()
 
 
+@pytest.mark.parametrize("value, shown", [
+    (np.float64("nan"), "nan"), (np.float32("-inf"), "-inf"), (np.int64(-3), "-3"),
+    (np.True_, "True"), (np.str_("x"), "'x'"),
+], ids=["float64", "float32", "int64", "bool", "str"])
+def test_finite_words_numpy_scalars_like_python_ones(value, shown):
+    with pytest.raises(ValueError, match=rf"^x must be a finite number >= 0, got {shown}$"):
+        _finite("x", value, at_least=0)
+
+
 def test_fit_tolerance_is_in_standard_errors_with_a_floor():
     assert FitConfig().tolerance == 0.01
     assert FitConfig(tolerance=1e-3).tolerance == 1e-3
@@ -316,6 +325,10 @@ def test_histogram_validation():
     with pytest.raises(ValueError):
         Histogram(bin_edges=np.array([0.0, 1.0, 0.5]), counts=np.array([1, 2]),
                   total_pulses=3)
+    # an infinite end edge gives an infinite bin centre, which the fit's guess reads
+    for edges in ([-math.inf, 1.0, 2.0], [0.0, 1.0, math.inf]):
+        with pytest.raises(ValueError, match="bin_edges must be finite and strictly increasing"):
+            Histogram(bin_edges=np.array(edges), counts=np.array([1, 2]), total_pulses=3)
 
 
 @pytest.mark.parametrize("underflow, overflow, match", [
@@ -418,6 +431,11 @@ def test_decision_scheme_requires_increasing_thresholds():
     ("priors", (0.5, -0.1, 0.6), r"priors\[1\] must be a finite number >= 0, got -0.1"),
     ("error_per_number", (0.0, math.nan, 0.0),
      r"error_per_number\[1\] must be a finite number, got nan"),
+    # a bool or a string is refused where a float array would take it as a number
+    ("priors", (0.5, True, 0.5), r"priors\[1\] must be a finite number >= 0, got True"),
+    ("error_per_number", (0.0, 0.0, "0.1"),
+     r"error_per_number\[2\] must be a finite number, got '0.1'"),
+    ("thresholds", (1.0, np.float64(math.nan)), r"thresholds\[1\] must be a finite number, got nan"),
 ])
 def test_decision_scheme_refuses_non_finite_numbers(field, values, message):
     fields = dict(thresholds=(1.0, 2.0), priors=(1 / 3,) * 3, error_per_number=(0.0,) * 3)

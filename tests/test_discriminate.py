@@ -1,5 +1,6 @@
 """Decision thresholds, regions, error rates, confusion matrices."""
 
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from pnr_lab import (
     run,
     threshold,
 )
+from pnr_lab import discriminate
 
 from conftest import REF_SAT, REF_SPACING, REF_X0, law_stds
 
@@ -383,3 +385,91 @@ def test_confusion_matrix_validation():
     # kept as given, not normalized: analysis.json publishes them
     assert confusion(model, [2, 2, 0, 0]).priors == (2.0, 2.0, 0.0, 0.0)
 
+
+
+# ---------------------------------------------------------------- one partition per model
+
+def _skewed_model():
+    """A fresh law ladder with unequal weights, so the two prior modes differ."""
+    return MixtureModel.from_ladder(REF_X0, REF_SPACING, REF_SAT, law_stds(7),
+                                    [0.05, 0.15, 0.25, 0.25, 0.15, 0.1, 0.05])
+
+
+DECISIONS = {
+    "scheme": lambda m: build_scheme(m, "equal"),
+    "weighted": lambda m: build_scheme(m, "from-weights"),
+    "confusion": lambda m: confusion(m, np.full(m.n_peaks, 1 / m.n_peaks)),
+    "one_vs_many": lambda m: one_vs_many_error(m, m.weights()),
+}
+
+
+def _bits(result):
+    """The bytes of every number in a decision result."""
+    if isinstance(result, DecisionScheme):
+        return [np.array(v).tobytes()
+                for v in (result.thresholds, result.priors, result.error_per_number)]
+    if isinstance(result, ConfusionMatrix):
+        return [result.matrix.tobytes(), np.array(result.priors).tobytes()]
+    return np.float64(result).tobytes()
+
+
+def test_decisions_agree_bitwise_in_every_call_order():
+    # each reference is computed on its own equal-valued but distinct model
+    model = _skewed_model()
+    assert _skewed_model() == model and _skewed_model() is not model
+    fresh = {name: _bits(call(_skewed_model())) for name, call in DECISIONS.items()}
+    for order in itertools.permutations(DECISIONS):
+        shared = _skewed_model()
+        for name in order + order:          # the second round asks each one again
+            assert _bits(DECISIONS[name](shared)) == fresh[name], (order, name)
+
+
+def test_decisions_partition_each_model_once(monkeypatch):
+    masses = []
+    real = discriminate._interval_mass
+    monkeypatch.setattr(discriminate, "_interval_mass",
+                        lambda *args: masses.append(args) or real(*args))
+    first, second = _skewed_model(), _skewed_model()
+    for model in (first, second, first):
+        for call in DECISIONS.values():
+            call(model)
+    # one partition per mode and model; going back to `first` partitions it again
+    assert len(masses) == 6
+
+
+def test_decision_arrays_are_read_only():
+    model = _skewed_model()
+    for mode in ("equal", "from-weights"):
+        cuts, pri, mass = discriminate._cuts_and_mass(model, mode)
+        assert isinstance(cuts, tuple)
+        for a in (pri, mass):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        confusion(model, np.full(7, 1 / 7)).matrix[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("model, mode, error", [
+    # sigma ratio 100 at separation 0.5: no equal-weight crossing between the means
+    (MixtureModel.from_peaks([0.0, 0.5, 200.0], [1.0, 100.0, 100.0]), "equal",
+     NoIntersectionError),
+    (MixtureModel.from_peaks([0.0, 3.0], [1.0, 10.0], [1 / (1 + math.exp(5.0)),
+                                                       1 - 1 / (1 + math.exp(5.0))]),
+     "from-weights", NoIntersectionError),
+    (MixtureModel.from_peaks([0.0, 100.0, 50.0], [5.0, 5.0, 5.0]), "equal", InvalidModelError),
+])
+def test_a_refused_model_is_refused_again(model, mode, error):
+    good = _skewed_model()
+    expected = _bits(build_scheme(good, mode))
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            build_scheme(model, mode)
+        messages.add(str(info.value))
+        if mode == "equal":
+            for call in (DECISIONS["confusion"], DECISIONS["one_vs_many"]):
+                with pytest.raises(error):
+                    call(model)
+    assert len(messages) == 1
+    # the refusal leaves the last model partitioned as it was
+    assert _bits(build_scheme(good, mode)) == expected

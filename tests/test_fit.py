@@ -36,6 +36,12 @@ def synthetic_hist(model, n=200_000, width=11.0, seed=0, lo=None, hi=None):
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+def packed(prob, model):
+    """`prob.pack` of a mixture model, the way `fit_spectrum` packs an explicit init."""
+    return prob.pack(model.x0, model.spacing, model.sat, model.std_devs(), model.weights(),
+                     model.poisson_mu)
+
+
 # ---------------------------------------------------------------- init_guess
 
 def test_init_guess_two_clean_peaks():
@@ -178,7 +184,7 @@ def test_jacobian_matches_finite_differences(kind, log_v0):
                                      [0.3, 0.45, 0.25])
     h = synthetic_hist(model, n=50_000, seed=3)
     prob = _Problem(h, kind, 3)
-    p0 = prob.pack(init_guess(h, 3))
+    p0 = packed(prob, init_guess(h, 3))
     if log_v0 is not None:
         p0[4] = log_v0
     *_, parts = prob.evaluate(p0)
@@ -259,9 +265,9 @@ def test_linear_variance_pack_returns_law_components(law_model, weights):
     init = MixtureModel.from_ladder(REF_X0, REF_SPACING, REF_SAT, law_stds(7), weights,
                                     constraint_kind=Constraint.LINEAR_VARIANCE)
     prob = _Problem(synthetic_hist(law_model, n=50_000), Constraint.LINEAR_VARIANCE, 7)
-    assert np.exp(prob.pack(init)[3:6]) == pytest.approx(
+    assert np.exp(packed(prob, init)[3:6]) == pytest.approx(
         [REF_ELEC_VAR, REF_EXTRA_VAR, REF_MULT_VAR], rel=1e-9)
-    assert prob.to_model(prob.pack(init)).std_devs() == pytest.approx(law_stds(7), rel=1e-12)
+    assert prob.to_model(packed(prob, init)).std_devs() == pytest.approx(law_stds(7), rel=1e-12)
 
 
 def test_objective_never_increases(law_model):
@@ -317,10 +323,10 @@ def sigma_distance(hist, constraint, model, ref):
     sigma_i^2 = [H^-1]_ii (Cauchy-Schwarz), and needs no inverse: a clipped
     log parameter's zero column, or a dead peak's near-zero one, adds nothing."""
     prob = _Problem(hist, constraint, ref.n_peaks)
-    p_ref = prob.pack(ref)
+    p_ref = packed(prob, ref)
     *_, parts = prob.evaluate(p_ref)
     jac = prob.jacobian(p_ref, *parts)
-    move = jac @ (prob.pack(model) - p_ref)
+    move = jac @ (packed(prob, model) - p_ref)
     return math.sqrt(float(prob.wls @ (move * move)))
 
 
@@ -328,7 +334,7 @@ def undamped_decrement(hist, constraint, model):
     """g.H^+g at `model`: the objective drop a full Gauss-Newton step predicts,
     whatever the fit's own stopping rule made of that point."""
     prob = _Problem(hist, constraint, model.n_peaks)
-    p = prob.pack(model)
+    p = packed(prob, model)
     r, _, _, parts = prob.evaluate(p)
     jw = prob.jacobian(p, *parts) * np.sqrt(prob.wls)[:, None]
     grad = jw.T @ (np.sqrt(prob.wls) * r)
