@@ -158,6 +158,13 @@ def _finite_floats(name: str, values, at_least=None) -> tuple:
     return tuple(map(float, values))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a` if it is read-only, else a read-only copy: a caller's array stays writeable."""
+    if a.flags.writeable:
+        (a := a.copy()).setflags(write=False)
+    return a
+
+
 def _whole(name: str, value, least=None, most=None) -> int:
     """`value` as an int: an int, or a float with no fractional part (JSON may
     write 1e5), within [`least`, `most`] where those are given.  Bools,
@@ -297,10 +304,8 @@ class Histogram:
             object.__setattr__(self, name, _whole(name, getattr(self, name), 0))
         if counts.sum() + self.underflow + self.overflow > self.total_pulses:
             raise ValueError("sum of counts, underflow and overflow exceeds total_pulses")
-        edges.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "bin_edges", _read_only(edges))
+        object.__setattr__(self, "counts", _read_only(counts))
 
     @property
     def n_bins(self) -> int:

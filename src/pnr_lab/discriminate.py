@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DecisionScheme, MixtureModel, _finite, _finite_floats, _interval_mass
+from .core import (DecisionScheme, MixtureModel, _finite, _finite_floats, _interval_mass,
+                   _read_only)
 
 __all__ = [
     "ConfusionMatrix",
@@ -51,8 +52,7 @@ class ConfusionMatrix:
             _finite(f"confusion matrix[{i}, {j}]", m[i, j])
         if not np.abs(m.sum(axis=1) - 1.0).max() <= 1e-9:   # a NaN sum fails too
             raise ValueError("confusion matrix rows must sum to 1 within 1e-9")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _read_only(m))
         object.__setattr__(self, "priors", _finite_floats("priors", self.priors, 0))
 
 

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 CHUNK_PULSES = 8192          # substream granularity; fixed forever for reproducibility
-MAX_PULSES = 10_000_000      # storage budget guard (~240 MB of records)
+MAX_PULSES = 10_000_000      # storage budget guard (~240 MB of records, held once)
 MAX_BINS = 1_000_000         # histogram budget guard (16 MB of edges and counts)
 MAX_POISSON_MEAN = 1e6       # the draw table holds mu + 12*sqrt(mu) + 20 log-factorials
 MAX_CELL_DETECTIONS = 2_000_000  # expected detections in a chunk with cell_count set (~45 B each)
@@ -152,16 +152,15 @@ def _saturate(rng: np.random.Generator, detections: np.ndarray, cells: int) -> n
     return np.bincount(surviving_pairs // cells, minlength=len(detections)).astype(np.int64)
 
 
-def _sample_chunk(model: DetectorModel, rng: np.random.Generator, n: int,
-                  incident_cdf: np.ndarray, dark_cdf: np.ndarray) -> np.ndarray:
-    """Draw n pulse records, with the `_poisson_cdf` tables of the model's two
-    means.  RNG call order is part of the format: incident Poisson, thinning
-    binomial, dark Poisson, cell assignment, area normal."""
+def _sample_chunk(model: DetectorModel, rng: np.random.Generator, out: np.ndarray,
+                  incident_cdf: np.ndarray, dark_cdf: np.ndarray) -> None:
+    """Fill the pulse records `out` in place, with the `_poisson_cdf` tables of
+    the model's two means.  RNG call order is part of the format: incident
+    Poisson, thinning binomial, dark Poisson, cell assignment, area normal."""
+    n = len(out)
     incident = _poisson_inverse(rng, incident_cdf, n)
-    if model.quantum_efficiency == 1.0:
-        detected = incident.copy()
-    else:
-        detected = rng.binomial(incident, model.quantum_efficiency).astype(np.int64)
+    detected = (incident if model.quantum_efficiency == 1.0 else
+                rng.binomial(incident, model.quantum_efficiency).astype(np.int64, copy=False))
     if model.dark_rate_per_gate > 0:
         detected = detected + _poisson_inverse(rng, dark_cdf, n)
     if model.cell_count is not None:
@@ -172,13 +171,10 @@ def _sample_chunk(model: DetectorModel, rng: np.random.Generator, n: int,
     var = (model.electronic_noise_var
            + np.where(detected > 0, model.extra_per_photon_var, 0.0)
            + d * model.mult_noise_var)
-    area = mean + np.sqrt(var) * rng.standard_normal(n)
 
-    out = np.empty(n, dtype=PULSE_DTYPE)
     out["true_incident"] = incident
     out["true_detected"] = detected
-    out["area"] = area
-    return out
+    out["area"] = mean + np.sqrt(var) * rng.standard_normal(n)
 
 
 def run(config: SimConfig, workers: int = 1):
@@ -186,14 +182,15 @@ def run(config: SimConfig, workers: int = 1):
 
     Returns (records, histogram) where records is a structured array with
     fields true_incident/true_detected/area.  Deterministic for a fixed
-    seed.  `workers` is accepted and ignored: chunks are drawn in order.
+    seed.  Chunks are drawn in order into slices of one records array, so the
+    pulse set is held once.  `workers` is accepted and ignored.
     """
     model = config.model
     cdfs = _poisson_cdf(model.mean_photon_number), _poisson_cdf(model.dark_rate_per_gate)
-    parts = [_sample_chunk(model, substream(config.seed, k),
-                           min(CHUNK_PULSES, config.n_pulses - start), *cdfs)
-             for k, start in enumerate(range(0, config.n_pulses, CHUNK_PULSES))]
-    records = np.concatenate(parts)
+    records = np.empty(config.n_pulses, dtype=PULSE_DTYPE)
+    for k, start in enumerate(range(0, config.n_pulses, CHUNK_PULSES)):
+        _sample_chunk(model, substream(config.seed, k),
+                      records[start:start + CHUNK_PULSES], *cdfs)
     hist = histogram_from_areas(records["area"], config.resolved_bin_width)
     return records, hist
 
@@ -222,8 +219,11 @@ def histogram_from_areas(areas: np.ndarray, bin_width: float) -> Histogram:
     lo = math.floor(low / bin_width) * bin_width
     n_bins = int(math.floor((high - lo) / bin_width)) + 1
     edges = lo + bin_width * np.arange(n_bins + 1)
-    counts, _ = np.histogram(areas, bins=edges)
-    return Histogram(edges, counts.astype(np.int64), total_pulses=len(areas))
+    # in blocks of 4*CHUNK_PULSES rows, measured fastest: np.histogram's copy
+    # and sort of its input stay one block long, and the sum is exact
+    counts = sum(np.histogram(areas[i:i + 4 * CHUNK_PULSES], bins=edges)[0]
+                 for i in range(0, len(areas), 4 * CHUNK_PULSES))
+    return Histogram(edges, counts, total_pulses=len(areas))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +297,7 @@ def read_histogram_csv(path) -> Histogram:
     if gap.any():
         raise FormatError(f"{path}: bins are not contiguous near {float(rights[gap.argmax()])}")
     edges = np.append(lefts, rights[-1])
-    counts = rows["count"].copy()
+    counts = rows["count"]
     total = meta["total_pulses"]
     if total is None:
         total = int(counts.sum()) + meta["underflow"] + meta["overflow"]

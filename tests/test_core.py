@@ -318,6 +318,19 @@ def test_histogram_arrays_read_only():
         h.counts[0] = 99
 
 
+def test_histogram_leaves_the_callers_arrays_writeable():
+    edges, counts = np.array([0.0, 1.0, 2.0]), np.array([1, 2])
+    h = Histogram(bin_edges=edges, counts=counts, total_pulses=3)
+    assert edges.flags.writeable and counts.flags.writeable
+    assert not h.bin_edges.flags.writeable and not h.counts.flags.writeable
+    assert np.array_equal(h.bin_edges, edges) and np.array_equal(h.counts, counts)
+    edges[0], counts[0] = -1.0, 7          # the stored arrays are copies
+    assert h.bin_edges[0] == 0.0 and h.counts[0] == 1
+    # arrays that are read-only already are kept as they are
+    again = Histogram(bin_edges=h.bin_edges, counts=h.counts, total_pulses=3)
+    assert again.bin_edges is h.bin_edges and again.counts is h.counts
+
+
 def test_histogram_validation():
     with pytest.raises(ValueError):
         Histogram(bin_edges=np.array([0.0, 1.0]), counts=np.array([1, 2]),

@@ -449,6 +449,19 @@ def test_decision_arrays_are_read_only():
         confusion(model, np.full(7, 1 / 7)).matrix[0, 0] = 0.0
 
 
+def test_confusion_matrix_leaves_the_callers_array_writeable():
+    m = np.eye(2)
+    cm = ConfusionMatrix(m, (0.5, 0.5))
+    assert m.flags.writeable and not cm.matrix.flags.writeable
+    assert np.array_equal(cm.matrix, m)
+    m[0, 0] = 0.0                          # the stored matrix is a copy
+    assert cm.matrix[0, 0] == 1.0
+    # the shared partition's mass is read-only already, so it is not copied
+    model = _skewed_model()
+    _, _, mass = discriminate._cuts_and_mass(model, "equal")
+    assert confusion(model, np.full(7, 1 / 7)).matrix is mass
+
+
 @pytest.mark.parametrize("model, mode, error", [
     # sigma ratio 100 at separation 0.5: no equal-weight crossing between the means
     (MixtureModel.from_peaks([0.0, 0.5, 200.0], [1.0, 100.0, 100.0]), "equal",

@@ -90,6 +90,63 @@ def test_eta_zero_runs_match_pinned_digests(over, digest):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+SHAPE_DIGESTS = {
+    # sha256 of records + counts + edges at seed 23
+    ("qe1", 1): "1e04f2f0cb74dd227bbb352a2ccc74d7091fb6699f58952300eb176a2931b236",
+    ("qe1", CHUNK_PULSES - 1): "0cf5590d8760139f200521cb53ed44778e4e262c27618c39702ebd7c05725e95",
+    ("qe1", CHUNK_PULSES): "6f10d12447c993a419c1e7971d188fc1fac6b69f41e961954a08dcb3bec9ab55",
+    ("qe1", CHUNK_PULSES + 1): "df23fd18da1b94ac034be375a43c6c5af99c2c7f3e9468ed52ff45905eb97dae",
+    ("qe1", 3 * CHUNK_PULSES + 5):
+        "78e40b22e984f1c329eea99dfa379da28f2013e57f2885a24ebd8ced915d3bf8",
+    ("dark_cells", 1): "ab49163db9f8994c2728aa2786c8f1aefa38677ee65c4a962a229f393b71c6f2",
+    ("dark_cells", CHUNK_PULSES - 1):
+        "4947cc6ab65702a329dd36498aebd2ef348c6f6b08f079c36226ce5853b10c91",
+    ("dark_cells", CHUNK_PULSES): "d70009827e6519d8feb74e6c16c96ce7a8fcc5d2f57e452d2010b9ab449f0cbf",
+    ("dark_cells", CHUNK_PULSES + 1):
+        "39fdeefc791c7af15da826fc530086a035ff2540d4c34246b75b223736fdc848",
+    ("dark_cells", 3 * CHUNK_PULSES + 5):
+        "f4ce1c31464f6d2ee93d6750421bc55477e8eb5be4968392170b340cc3e66727",
+}
+
+
+@pytest.mark.parametrize("name, n_pulses", list(SHAPE_DIGESTS), ids=str)
+def test_run_shapes_match_pinned_digests(name, n_pulses):
+    # one pulse, a chunk less one, a chunk, a chunk and one, and a ragged
+    # tail: each chunk fills its own slice of the records
+    over = {"qe1": {"quantum_efficiency": 1.0},
+            "dark_cells": {"dark_rate_per_gate": 0.3, "cell_count": 50}}[name]
+    recs, hist = run(SimConfig(model=plain_model(**over), n_pulses=n_pulses, seed=23))
+    assert len(recs) == n_pulses
+    blob = recs.tobytes() + hist.counts.tobytes() + hist.bin_edges.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == SHAPE_DIGESTS[name, n_pulses]
+
+
+def test_run_holds_the_pulse_set_once():
+    # the records, one chunk's draws and one histogram block: a second copy
+    # of the pulse set (2.4 MB here) would break the bound
+    cfg = SimConfig(model=plain_model(), n_pulses=100_000, seed=16)
+    tracemalloc.start()
+    try:
+        recs, _ = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= recs.nbytes + 1_000_000
+
+
+def test_histogram_transient_stays_one_block():
+    # np.histogram makes a contiguous copy of its input and sorts it in
+    # blocks: over all 2e5 strided areas at once that held 2.65 MB
+    recs, _ = run(SimConfig(model=plain_model(), n_pulses=200_000, seed=16))
+    tracemalloc.start()
+    try:
+        histogram_from_areas(recs["area"], 11.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_dark_counts_add_detections():
     dark = plain_model(mean_photon_number=0.0, quantum_efficiency=0.5,
                        dark_rate_per_gate=0.7)
@@ -170,6 +227,47 @@ def test_histogram_counts_every_area_once():
     h = histogram_from_areas(areas, 2.5)
     assert h.counts.sum() + h.underflow + h.overflow == 10_000
     assert h.total_pulses == 10_000
+
+
+HIST_BLOCK = 4 * CHUNK_PULSES   # rows per np.histogram call in histogram_from_areas
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 9, HIST_BLOCK - 1, HIST_BLOCK, HIST_BLOCK + 1,
+                          2 * HIST_BLOCK + 3]),
+       width=st.sampled_from([0.35, 0.7, 2.5, 11.25, 13.7]),
+       seed=st.integers(0, 2**32 - 1),
+       on_edges=st.sampled_from([0.0, 0.3, 1.0]),
+       form=st.sampled_from(["array", "strided", "list"]))
+def test_blocked_histogram_equals_one_np_histogram(n, width, seed, on_edges, form):
+    rng = np.random.default_rng(seed)
+    areas = rng.normal(300.0, 120.0, n)
+    # move a share of the areas onto interior edges of their own grid
+    inner = histogram_from_areas(areas, width).bin_edges[1:-1]
+    snap = rng.random(n) < on_edges
+    if len(inner) and snap.any():
+        areas[snap] = rng.choice(inner, snap.sum())
+    if form == "strided":
+        recs = np.zeros(n, dtype=PULSE_DTYPE)
+        recs["area"] = areas
+        given_areas = recs["area"]
+    else:
+        given_areas = areas.tolist() if form == "list" else areas
+    h = histogram_from_areas(given_areas, width)
+    assert h.counts.dtype == np.int64 and h.total_pulses == n
+    assert np.array_equal(h.counts, np.histogram(areas, bins=h.bin_edges)[0])
+
+
+@pytest.mark.parametrize("width, top", [(0.7, 3), (0.35, 3), (13.7, 3), (1.1, 15)])
+def test_blocked_histogram_counts_the_top_edge(width, top):
+    # width * top rounds so that the grid ends exactly on the largest area,
+    # which only the last, right-closed bin holds; a block boundary falls
+    # inside the run of areas on that edge
+    areas = np.concatenate([np.zeros(HIST_BLOCK - 2), np.full(5, width * top)])
+    h = histogram_from_areas(areas, width)
+    assert h.bin_edges[-1] == areas.max()
+    assert h.counts[-1] == 5 and h.counts.sum() == len(areas)
+    assert np.array_equal(h.counts, np.histogram(areas, bins=h.bin_edges)[0])
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
