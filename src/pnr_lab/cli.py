@@ -7,7 +7,7 @@ the only place that turns results into files: `_json` writes every JSON
 output and `_recorded` runs every file-writing command.
 
 Exit codes: 0 success, 2 config/input error, 3 I/O error, 4 fit did not
-converge (the report is still written).
+converge (fit writes its report; analyze and pipeline skip the analysis).
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (Constraint, DetectorModel, Histogram, MixtureModel, NoiseReport,
-                   _variance_parts)
+from .core import Constraint, DetectorModel, Histogram, MixtureModel, NoiseReport, _ladder
 from .discriminate import build_scheme, confusion
 from .fit import (FitConfig, FitReport, expected_counts, fit_spectrum, report_from_json,
                   report_to_json)
@@ -194,7 +193,12 @@ def _fit(hist: Histogram, cfg: FitConfig, args, output) -> FitReport:
     return report
 
 
-def _analyze(report: FitReport, args, output) -> None:
+def _analyze(report: FitReport, args, output) -> int:
+    """Write the analysis of a converged fit and return 0; an unconverged fit
+    gets a warning, no file and exit code 4."""
+    if not report.converged:
+        print("warning: fit did not converge; skipping analysis", file=sys.stderr)
+        return 4
     model = report.model
     k = model.n_peaks
     noise_report = variance_law(model.peaks)     # refuses fewer than 3 peaks
@@ -210,11 +214,11 @@ def _analyze(report: FitReport, args, output) -> None:
     std = model.std_devs()
     var = std ** 2
     # the regression's v_elec is var[0]: row 0 alone sets it
-    components = (var[0], noise_report.sigma_0_sq, noise_report.sigma_m_sq)
-    law = (_variance_parts(k) * components).sum(axis=1)
+    law = _ladder(k, 0.0, 0.0, 0.0, var[0], noise_report.sigma_0_sq, noise_report.sigma_m_sq)[1]
     write_table(output("variance_vs_n.csv"), "n,std_dev,variance,law_variance",
                 ("",) + (".10g",) * 3, n, std, var, law)
     _say(args, f"analysis -> {analysis_path}")
+    return 0
 
 
 def cmd_simulate(args) -> int:
@@ -238,8 +242,7 @@ def cmd_analyze(args) -> int:
     doc = _load_json(args.fit_report)
     report = report_from_json(doc)
     with _recorded(args, "analyze", doc, args.seed) as output:
-        _analyze(report, args, output)
-    return 0
+        return _analyze(report, args, output)
 
 
 def cmd_qe(args) -> int:
@@ -258,11 +261,7 @@ def cmd_pipeline(args) -> int:
     fit_cfg = _build_fit_config(doc["fit"], "fit")
     with _recorded(args, "pipeline", doc, cfg.seed) as output:
         report = _fit(_simulate(cfg, args, output), fit_cfg, args, output)
-        if report.converged:
-            _analyze(report, args, output)
-        else:
-            print("warning: fit did not converge; skipping analysis", file=sys.stderr)
-    return 0 if report.converged else 4
+        return _analyze(report, args, output)
 
 
 # ---------------------------------------------------------------------------

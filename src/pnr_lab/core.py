@@ -199,10 +199,16 @@ def _normalized_exp(logw: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _ladder(n: int, x0, spacing, sat, v_elec=0.0, v_0=0.0, v_m=0.0):
+    """Peaks 0..n-1's means x0 + i*spacing - i^2*sat and variances v_elec + [i>0]*v_0 + i*v_M."""
+    i = np.arange(n, dtype=float)
+    return x0 + i * spacing - i * i * sat, v_elec + np.where(i > 0, v_0, 0.0) + i * v_m
+
+
 def _variance_parts(k: int) -> np.ndarray:
-    """(k, 3) design matrix d sigma_i^2 / d(v_elec, v_0, v_M) of the variance law
-    sigma_i^2 = v_elec + v_0*[i>0] + i*v_M at i = 0..k-1: the one spelling of
-    that law, shared by the fit's LINEAR_VARIANCE regime and the noise report."""
+    """(k, 3) design matrix d sigma_i^2 / d(v_elec, v_0, v_M) of `_ladder`'s
+    variance law at i = 0..k-1, the regression's explicit form of it, shared
+    by the fit's LINEAR_VARIANCE regime and the noise report."""
     i = np.arange(k, dtype=float)
     return np.stack([np.ones(k), (i > 0).astype(float), i], axis=1)
 
@@ -396,7 +402,7 @@ class MixtureModel:
     def from_ladder(cls, x0, spacing, sat, std_devs, weights,
                     constraint_kind=Constraint.FREE_WEIGHTS_FREE_SIGMAS,
                     poisson_mu=None) -> "MixtureModel":
-        """Build peaks with means exactly on the ladder x0 + i*spacing - i^2*sat.
+        """Build peaks with means exactly on `_ladder`'s x0 + i*spacing - i^2*sat.
 
         Each width and weight goes to its `GaussianPeak` as given, so the peak
         checks every element of the two sequences."""
@@ -405,8 +411,8 @@ class MixtureModel:
         _finite("sat", sat)
         if len(std_devs) != len(weights):
             raise ValueError("std_devs and weights must have the same length")
-        peaks = tuple(GaussianPeak(i, x0 + i * spacing - i * i * sat, s, w)
-                      for i, (s, w) in enumerate(zip(std_devs, weights)))
+        means = _ladder(len(std_devs), x0, spacing, sat)[0].tolist()
+        peaks = tuple(map(GaussianPeak, range(len(means)), means, std_devs, weights))
         return cls(peaks, float(x0), float(spacing), float(sat), constraint_kind, poisson_mu)
 
     @classmethod

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Constraint, Histogram, MixtureModel, _finite, _interval_mass,
+from .core import (Constraint, Histogram, MixtureModel, _finite, _interval_mass, _ladder,
                    _log_factorials, _normalized_exp, _poisson_log_pmf,
                    _variance_components, _variance_parts, _whole)
 
@@ -154,7 +154,7 @@ def _guess(hist: Histogram, n_peaks):
     k = len(prominent) + 2 if k == "auto" else k
 
     # count moments of each region about its guessed peak -> weights and sigmas
-    ladder = x0 + spacing * np.arange(k)
+    ladder = _ladder(k, x0, spacing, 0.0)[0]
     region = np.searchsorted(0.5 * (ladder[:-1] + ladder[1:]), hist.centers, side="right")
     dev = hist.centers - ladder[region]
     mass = np.bincount(region, counts, k)

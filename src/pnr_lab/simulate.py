@@ -3,14 +3,14 @@
 The generative chain per gate: Poisson photon arrivals, Bernoulli thinning
 by the quantum efficiency, Poisson dark detections, optional dead-cell
 saturation, then one Gaussian area draw whose mean and variance follow the
-detection count d:
+detection count d (`core._ladder`, the one spelling of both laws):
 
     mean = area_offset + d*gain - d^2*sat
     var  = electronic_noise_var + [d>0]*extra_per_photon_var + d*mult_noise_var
 
 Summing d independent per-detection Gaussian gains and one electronics term
-produces exactly this Gaussian, so the sampler draws the aggregate directly;
-subpopulation means and variances are identical either way.
+produces exactly this Gaussian, so the sampler draws the aggregate directly:
+the per-count mean plus the per-count width times one normal draw.
 
 Reproducibility: pulses are generated in fixed-size chunks, drawn in index
 order, chunk k always from `core.substream(seed, k)`.  A seed therefore fixes
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_MAX_U64, DetectorModel, Histogram, _finite, _log_factorials,
+from .core import (_MAX_U64, DetectorModel, Histogram, _finite, _ladder, _log_factorials,
                    _poisson_log_pmf, _whole, substream)
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
 CHUNK_PULSES = 8192          # substream granularity; fixed forever for reproducibility
 MAX_PULSES = 10_000_000      # storage budget guard (~240 MB of records, held once)
 MAX_BINS = 1_000_000         # histogram budget guard (16 MB of edges and counts)
-MAX_POISSON_MEAN = 1e6       # the draw table holds mu + 12*sqrt(mu) + 20 log-factorials
+MAX_POISSON_MEAN = 1e6       # draw table: mu + 12*sqrt(mu) + 20 entries; count tables +16 B each
 MAX_CELL_DETECTIONS = 2_000_000  # expected detections in a chunk with cell_count set (~45 B each)
 MAX_CELL_COUNT = (2**63 - 1) // CHUNK_PULSES  # a chunk's (pulse, cell) keys stay within int64
 CSV_VERSION = "# pnr-lab v1"
@@ -153,10 +153,10 @@ def _saturate(rng: np.random.Generator, detections: np.ndarray, cells: int) -> n
 
 
 def _sample_chunk(model: DetectorModel, rng: np.random.Generator, out: np.ndarray,
-                  incident_cdf: np.ndarray, dark_cdf: np.ndarray) -> None:
-    """Fill the pulse records `out` in place, with the `_poisson_cdf` tables of
-    the model's two means.  RNG call order is part of the format: incident
-    Poisson, thinning binomial, dark Poisson, cell assignment, area normal."""
+                  incident_cdf, dark_cdf, mean: np.ndarray, sd: np.ndarray) -> None:
+    """Fill the records `out` in place from the `_poisson_cdf` tables of the two
+    means and the per-count area `mean` and `sd`.  RNG call order is part of the
+    format: incident Poisson, thinning binomial, dark Poisson, cells, area normal."""
     n = len(out)
     incident = _poisson_inverse(rng, incident_cdf, n)
     detected = (incident if model.quantum_efficiency == 1.0 else
@@ -165,32 +165,29 @@ def _sample_chunk(model: DetectorModel, rng: np.random.Generator, out: np.ndarra
         detected = detected + _poisson_inverse(rng, dark_cdf, n)
     if model.cell_count is not None:
         detected = _saturate(rng, detected, model.cell_count)
-
-    d = detected.astype(np.float64)
-    mean = model.area_offset + d * model.gain_per_photon - d * d * model.saturation_coeff
-    var = (model.electronic_noise_var
-           + np.where(detected > 0, model.extra_per_photon_var, 0.0)
-           + d * model.mult_noise_var)
-
     out["true_incident"] = incident
     out["true_detected"] = detected
-    out["area"] = mean + np.sqrt(var) * rng.standard_normal(n)
+    out["area"] = mean[detected] + sd[detected] * rng.standard_normal(n)
 
 
 def run(config: SimConfig, workers: int = 1):
     """Generate the full pulse set and its histogram.
 
-    Returns (records, histogram) where records is a structured array with
-    fields true_incident/true_detected/area.  Deterministic for a fixed
-    seed.  Chunks are drawn in order into slices of one records array, so the
-    pulse set is held once.  `workers` is accepted and ignored.
+    Returns (records, histogram), records a structured array with fields
+    true_incident/true_detected/area, fixed by the seed.  Each area is the
+    per-count mean plus the per-count width times a normal draw (`core._ladder`
+    tables of every count the draw tables give), drawn chunk by chunk in order
+    into one records array, held once.  `workers` is accepted and ignored.
     """
-    model = config.model
-    cdfs = _poisson_cdf(model.mean_photon_number), _poisson_cdf(model.dark_rate_per_gate)
+    m = config.model
+    cdfs = _poisson_cdf(m.mean_photon_number), _poisson_cdf(m.dark_rate_per_gate)
+    mean, var = _ladder(len(cdfs[0]) + len(cdfs[1]) + 1, m.area_offset, m.gain_per_photon,
+                        m.saturation_coeff, m.electronic_noise_var, m.extra_per_photon_var,
+                        m.mult_noise_var)
+    tables = *cdfs, mean, np.sqrt(var, out=var)
     records = np.empty(config.n_pulses, dtype=PULSE_DTYPE)
     for k, start in enumerate(range(0, config.n_pulses, CHUNK_PULSES)):
-        _sample_chunk(model, substream(config.seed, k),
-                      records[start:start + CHUNK_PULSES], *cdfs)
+        _sample_chunk(m, substream(config.seed, k), records[start:start + CHUNK_PULSES], *tables)
     hist = histogram_from_areas(records["area"], config.resolved_bin_width)
     return records, hist
 

@@ -444,6 +444,22 @@ def test_analyze_command(tmp_path, sim_config):
     assert variance[1] == "n,std_dev,variance,law_variance"
 
 
+def test_analyze_unconverged_report_exit_4_and_writes_no_analysis(tmp_path, capsys):
+    # as pipeline does after a fit that did not converge: a warning, no data
+    # file, a manifest that lists none, and exit code 4
+    doc = {"constraint": "free",
+           "peaks": [{"i": i, "mean": 100.0 * i, "std": 5.0, "weight": 1 / 3}
+                     for i in range(3)],
+           "objective": 1.0, "converged": False, "iterations": 3}
+    path = write_config(tmp_path / "report.json", doc)
+    out = tmp_path / "o"
+    assert main(["analyze", path, "--out-dir", str(out), "--quiet"]) == 4
+    assert capsys.readouterr().err == "warning: fit did not converge; skipping analysis\n"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "analyze" and manifest["outputs"] == []
+
+
 def test_analyze_too_few_peaks_exit_2(tmp_path, capsys):
     doc = {"constraint": "free", "x0": 0.0, "delta": 100.0, "sat": 0.0,
            "peaks": [{"i": 0, "mean": 0.0, "std": 5.0, "weight": 0.5},
@@ -538,13 +554,14 @@ def test_pipeline_command(tmp_path):
     assert len(manifest["outputs"]) == 7  # everything but the manifest itself
 
 
-def test_pipeline_nonconvergence_skips_analysis(tmp_path):
+def test_pipeline_nonconvergence_skips_analysis(tmp_path, capsys):
     cfg = write_config(tmp_path / "pipe.json", {
         "simulate": {"model": SIM_MODEL, "n_pulses": 30_000, "seed": 3},
         "fit": dict(FIT_DOC, max_iterations=1),
     })
     out = tmp_path / "pipe"
     assert main(["pipeline", cfg, "--out-dir", str(out), "--quiet"]) == 4
+    assert "warning: fit did not converge; skipping analysis" in capsys.readouterr().err
     assert (out / "fit_report.json").exists()
     assert not (out / "analysis.json").exists()
     manifest = json.loads((out / "manifest.json").read_text())

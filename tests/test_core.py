@@ -16,8 +16,8 @@ from pnr_lab import (Constraint, DecisionScheme, DetectorModel, EfficiencyInput,
                      GaussianPeak, Histogram, MixtureModel, NoiseReport, SimConfig,
                      excess_noise_factor, histogram_from_areas, n_max, photon_flux, substream,
                      threshold)
-from pnr_lab.core import (_finite, _interval_mass, _log_factorials, _normalized_exp, _poisson_log_pmf,
-                          _std_normal_cdf_pdf)
+from pnr_lab.core import (_finite, _interval_mass, _ladder, _log_factorials, _normalized_exp,
+                          _poisson_log_pmf, _std_normal_cdf_pdf, _variance_parts)
 
 
 # ---------------------------------------------------------------- dependencies
@@ -142,6 +142,43 @@ def test_normal_kernel_has_one_caller():
     users = [(path.name, scope) for path in sorted(Path(pnr_lab.__file__).parent.glob("*.py"))
              for scope in _scopes_using(ast.parse(path.read_text()), "_std_normal_cdf_pdf")]
     assert users == [("core.py", "_interval_mass")]
+
+
+def _function(path: Path, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_ladder_is_spelled_once():
+    """The sampler reads the ladder and its variance law from `run`'s
+    `_ladder` tables, never from the model's gain or noise fields, and the
+    regression's explicit design matrix stays inside core and fit."""
+    src = Path(pnr_lab.__file__).parent
+    read = {node.attr for node in ast.walk(_function(src / "simulate.py", "_sample_chunk"))
+            if isinstance(node, ast.Attribute)}
+    assert not read & {"gain_per_photon", "saturation_coeff", "area_offset",
+                       "electronic_noise_var", "extra_per_photon_var", "mult_noise_var"}
+    users = {path.name for path in src.glob("*.py")
+             for _ in _scopes_using(ast.parse(path.read_text()), "_variance_parts")}
+    assert users == {"core.py", "fit.py"}
+
+
+_ladder_floats = st.floats(-1e6, 1e6)
+
+
+@given(n=st.integers(1, 60), x0=_ladder_floats, spacing=_ladder_floats, sat=_ladder_floats,
+       v_elec=_ladder_floats, v_0=_ladder_floats, v_m=_ladder_floats)
+def test_ladder_matches_the_per_element_formula(n, x0, spacing, sat, v_elec, v_0, v_m):
+    means, variances = _ladder(n, x0, spacing, sat, v_elec, v_0, v_m)
+    assert means.tolist() == [x0 + i * spacing - i * i * sat for i in range(n)]
+    assert variances.tolist() == [v_elec + (v_0 if i > 0 else 0.0) + i * v_m for i in range(n)]
+
+
+@given(k=st.integers(1, 60), v=st.lists(st.floats(0.0, 1e6), min_size=3, max_size=3))
+def test_variance_parts_agree_with_the_ladder_law(k, v):
+    # the regression's design matrix is the same law as `_ladder`'s variances
+    law = _ladder(k, 0.0, 0.0, 0.0, *v)[1]
+    assert (np.abs(_variance_parts(k) @ v - law) <= 1e-15 * law).all()
 
 
 def _cdf_oracle(z):
@@ -391,6 +428,12 @@ def test_from_ladder_means_are_exact():
     i = np.arange(3.0)
     assert np.abs(m.means() - (m.x0 + i * m.spacing - i * i * m.sat)).max() == pytest.approx(
         0.0, abs=1e-18)
+
+
+@given(k=st.integers(1, 40), x0=_ladder_floats, spacing=_ladder_floats, sat=_ladder_floats)
+def test_from_ladder_means_are_the_ladder_bit_for_bit(k, x0, spacing, sat):
+    m = MixtureModel.from_ladder(x0, spacing, sat, [1.0] * k, [1.0 / k] * k)
+    assert m.means().tobytes() == _ladder(k, x0, spacing, sat)[0].tobytes()
 
 
 def test_from_ladder_rejects_bad_weights():

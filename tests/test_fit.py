@@ -11,7 +11,8 @@ from pnr_lab import (Constraint, DegenerateDesignError, DetectorModel, FitConfig
                      Histogram, MixtureModel, SimConfig, expected_counts, fit_spectrum,
                      histogram_from_areas, init_guess, report_from_json,
                      report_to_json, run)
-from pnr_lab.fit import _plateau_maxima, _Problem
+from pnr_lab.core import _ladder
+from pnr_lab.fit import _guess, _plateau_maxima, _Problem
 
 from conftest import (REF_ELEC_VAR, REF_EXTRA_VAR, REF_MULT_VAR, REF_SAT, REF_SPACING,
                       REF_X0, CATALOG_MEANS, CATALOG_STDS, law_stds)
@@ -169,6 +170,31 @@ def test_free_parameter_counts():
                          (Constraint.LINEAR_VARIANCE, 3 + 5)]:
         p = _Problem(h, kind, 3)
         assert p.n_params() == expect, kind
+
+
+@pytest.mark.parametrize("kind", list(Constraint))
+@given(k=st.integers(2, 12), x0=st.floats(-1e4, 1e4), spacing=st.floats(1.0, 1e3),
+       sat=st.floats(-10.0, 10.0))
+def test_problem_ladder_is_the_core_ladder(kind, k, x0, spacing, sat):
+    # evaluate's means and the Jacobian's ladder columns are `_ladder`'s
+    h = synthetic_hist(MixtureModel.from_ladder(0, 100, 0, [8, 9, 10], [0.3, 0.4, 0.3]))
+    prob = _Problem(h, kind, k)
+    assert np.array_equal(prob.idx, _ladder(k, 0.0, 1.0, 0.0)[0])
+    assert np.array_equal(prob.neg_idx_sq, _ladder(k, 0.0, 0.0, 1.0)[0])
+    p = prob.pack(x0, spacing, sat, np.linspace(5.0, 9.0, k), np.full(k, 1.0 / k), 2.0)
+    means = prob.evaluate(p)[2]
+    assert means.tobytes() == _ladder(k, *p[:3])[0].tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, "auto", 9])
+def test_init_guess_ladder_is_the_core_ladder(k):
+    model = MixtureModel.from_ladder(-40.0, 120.0, 0.0, [10.0, 12.0, 14.0, 16.0],
+                                     [0.2, 0.3, 0.3, 0.2])
+    h = synthetic_hist(model, seed=5)
+    x0, spacing, sat, *_ = _guess(h, k)
+    guess = init_guess(h, k)
+    assert sat == 0.0
+    assert guess.means().tobytes() == _ladder(guess.n_peaks, x0, spacing, sat)[0].tobytes()
 
 
 @pytest.mark.parametrize("kind, log_v0", [

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pnr_lab import (CapacityError, DetectorModel, FormatError, SimConfig,
                      histogram_from_areas, read_histogram_csv, read_pulses_csv,
-                     run, write_histogram_csv, write_pulses_csv)
+                     run, substream, write_histogram_csv, write_pulses_csv)
 from pnr_lab import simulate
 from pnr_lab.simulate import (CHUNK_PULSES, MAX_BINS, MAX_CELL_DETECTIONS, MAX_POISSON_MEAN,
                               MAX_PULSES, PULSE_DTYPE)
@@ -119,6 +119,69 @@ def test_run_shapes_match_pinned_digests(name, n_pulses):
     assert len(recs) == n_pulses
     blob = recs.tobytes() + hist.counts.tobytes() + hist.bin_edges.tobytes()
     assert hashlib.sha256(blob).hexdigest() == SHAPE_DIGESTS[name, n_pulses]
+
+
+def reference_run(config):
+    """`run` with per-pulse area arithmetic: the same RNG calls, each pulse's
+    mean and variance computed from its own detection count d."""
+    model = config.model
+    incident_cdf = simulate._poisson_cdf(model.mean_photon_number)
+    dark_cdf = simulate._poisson_cdf(model.dark_rate_per_gate)
+    records = np.empty(config.n_pulses, dtype=PULSE_DTYPE)
+    for k, start in enumerate(range(0, config.n_pulses, CHUNK_PULSES)):
+        rng = substream(config.seed, k)
+        n = min(CHUNK_PULSES, config.n_pulses - start)
+        incident = simulate._poisson_inverse(rng, incident_cdf, n)
+        detected = (incident if model.quantum_efficiency == 1.0 else
+                    rng.binomial(incident, model.quantum_efficiency).astype(np.int64))
+        if model.dark_rate_per_gate > 0:
+            detected = detected + simulate._poisson_inverse(rng, dark_cdf, n)
+        if model.cell_count is not None:
+            detected = simulate._saturate(rng, detected, model.cell_count)
+        d = detected.astype(np.float64)
+        mean = model.area_offset + d * model.gain_per_photon - d * d * model.saturation_coeff
+        var = (model.electronic_noise_var
+               + np.where(detected > 0, model.extra_per_photon_var, 0.0)
+               + d * model.mult_noise_var)
+        chunk = records[start:start + n]
+        chunk["true_incident"] = incident
+        chunk["true_detected"] = detected
+        chunk["area"] = mean + np.sqrt(var) * rng.standard_normal(n)
+    return records, histogram_from_areas(records["area"], config.resolved_bin_width)
+
+
+@st.composite
+def detector_models(draw):
+    def either(zero, values):
+        return draw(st.one_of(st.just(zero), values))
+
+    return DetectorModel(
+        mean_photon_number=either(0.0, st.floats(0.01, 30.0)),
+        quantum_efficiency=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+        gain_per_photon=draw(st.floats(1.0, 500.0)),
+        mult_noise_var=either(0.0, st.floats(0.01, 1000.0)),
+        electronic_noise_var=draw(st.floats(0.01, 500.0)),
+        extra_per_photon_var=either(0.0, st.floats(0.01, 500.0)),
+        area_offset=either(0.0, st.floats(-1000.0, 1000.0)),
+        saturation_coeff=either(0.0, st.floats(-2.0, 2.0)),
+        dark_rate_per_gate=either(0.0, st.floats(0.01, 3.0)),
+        cell_count=draw(st.one_of(st.none(), st.integers(1, 200))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=detector_models(),
+       n_pulses=st.sampled_from([1, CHUNK_PULSES - 1, CHUNK_PULSES, CHUNK_PULSES + 1,
+                                 2 * CHUNK_PULSES + 137]),
+       seed=st.integers(0, 2**64 - 1))
+def test_run_matches_per_pulse_reference_sampler(model, n_pulses, seed):
+    # the per-count tables move no byte of the records, counts or edges
+    config = SimConfig(model=model, n_pulses=n_pulses, seed=seed)
+    recs, hist = run(config)
+    ref_recs, ref_hist = reference_run(config)
+    assert recs.tobytes() == ref_recs.tobytes()
+    assert hist.counts.tobytes() == ref_hist.counts.tobytes()
+    assert hist.bin_edges.tobytes() == ref_hist.bin_edges.tobytes()
+    assert (hist.underflow, hist.overflow) == (ref_hist.underflow, ref_hist.overflow)
 
 
 def test_run_holds_the_pulse_set_once():
