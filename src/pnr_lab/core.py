@@ -343,11 +343,16 @@ class GaussianPeak:
 
 
 class Constraint(Enum):
-    """Fit constraint regimes for the Gaussian mixture."""
+    """Fit regimes for the mixture: a config name, a width law and a weight law."""
 
-    FREE_WEIGHTS_FREE_SIGMAS = "free"
-    POISSON_WEIGHTS = "poisson"
-    LINEAR_VARIANCE = "linear_variance"
+    FREE_WEIGHTS_FREE_SIGMAS = ("free", False, False)      # (K log sigma, K-1 logits)
+    POISSON_WEIGHTS = ("poisson", False, True)             # (K log sigma, log mu)
+    LINEAR_VARIANCE = ("linear_variance", True, False)     # (3 log variances, K-1 logits)
+
+    def __new__(cls, value, variance_law, poisson):
+        member = object.__new__(cls)
+        member._value_, member.variance_law, member.poisson = value, variance_law, poisson
+        return member
 
     @classmethod
     def parse(cls, text: str) -> "Constraint":
@@ -390,10 +395,10 @@ class MixtureModel:
         total = sum(p.weight for p in peaks)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"peak weights must sum to 1 within 1e-9, got {total!r}")
-        if self.constraint_kind is Constraint.POISSON_WEIGHTS and self.poisson_mu is None:
-            raise ValueError("POISSON_WEIGHTS model requires poisson_mu")
+        if self.constraint_kind.poisson and self.poisson_mu is None:
+            raise ValueError(f"{self.constraint_kind.name} model requires poisson_mu")
         if self.poisson_mu is not None:
-            _finite("poisson_mu", self.poisson_mu)
+            _finite("poisson_mu", self.poisson_mu, above=0)
         object.__setattr__(self, "peaks", peaks)
 
     # -- constructors -------------------------------------------------

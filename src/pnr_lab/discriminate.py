@@ -54,6 +54,8 @@ class ConfusionMatrix:
             raise ValueError("confusion matrix rows must sum to 1 within 1e-9")
         object.__setattr__(self, "matrix", _read_only(m))
         object.__setattr__(self, "priors", _finite_floats("priors", self.priors, 0))
+        if len(self.priors) != len(m):
+            raise ValueError(f"priors must have length {len(m)}, got {len(self.priors)}")
 
 
 def threshold(x_i: float, sigma_i: float, x_next: float, sigma_next: float) -> float:
@@ -166,14 +168,14 @@ def _cuts_and_mass(model: MixtureModel, priors: str):
 
 
 def _checked_priors(priors, k: int) -> np.ndarray:
-    """`priors` as a float array of length k, finite, >= 0 and not all zero."""
-    pri = np.asarray(priors, dtype=float)
+    """`priors` as a float array of length k by `_finite`'s rule, >= 0, with a
+    finite sum that is not zero."""
+    pri = np.array(_finite_floats("priors", priors, 0))
     if pri.shape != (k,):
-        raise ValueError(f"priors must have length {k}")
-    if not np.isfinite(pri.sum()):
-        raise ValueError(f"priors and their sum must be finite, got {pri.tolist()}")
-    if (pri < 0).any() or pri.sum() <= 0:
-        raise ValueError("priors must be nonnegative and not all zero")
+        raise ValueError(f"priors must have length {k}, got {len(pri)}")
+    if not 0 < pri.sum() < math.inf:
+        raise ValueError(f"priors must not all be zero and their sum must be finite, "
+                         f"got {pri.tolist()}")
     return pri
 
 

@@ -29,15 +29,16 @@ largest q of the last three steps.  Unit steps line up with the slowest
 direction, so one ray shows its q; scaled steps do not, and one ray can
 understate it.
 
-Three constraint regimes, all sharing the mean ladder x_i = x0 + i*D - i^2*a:
+Three constraint regimes share the mean ladder x_i = x0 + i*D - i^2*a.  Each
+is a (width law, weight law) pair, the member's `variance_law` and `poisson`
+flags, which alone `_Problem` reads:
 
-  FREE_WEIGHTS_FREE_SIGMAS : per-peak sigmas free, weights free on the simplex
-  POISSON_WEIGHTS          : weights pinned to a renormalized Poisson pmf (mu free)
-  LINEAR_VARIANCE          : sigma_i^2 = v_elec + v_0*[i>0] + i*v_M, weights free
+  FREE_WEIGHTS_FREE_SIGMAS : (K log sigmas, K-1 softmax logits, the first pinned to 0)
+  POISSON_WEIGHTS          : (K log sigmas, log mu of a renormalized Poisson pmf)
+  LINEAR_VARIANCE          : (log v_elec, v_0, v_M of sigma_i^2 = v_elec + v_0*[i>0] + i*v_M,
+                              K-1 softmax logits)
 
-Each regime pairs a width law (K log sigmas, or the three log variance
-components) with a weight law (softmax logits with the first pinned to 0, or
-log mu).  Log parameters keep scales positive.  Every Jacobian column is
+Log parameters keep scales positive.  Every Jacobian column is
 analytic: d(bin mass)/d log sigma_i is the difference of z*phi(z) across the
 bin, and the variance components reach it by the chain rule.
 """
@@ -211,8 +212,7 @@ class _Problem:
         self.k = k
         self.idx = np.arange(k, dtype=float)
         self.neg_idx_sq = -self.idx**2
-        self.variance_law = constraint is Constraint.LINEAR_VARIANCE
-        self.poisson = constraint is Constraint.POISSON_WEIGHTS
+        self.variance_law, self.poisson = constraint.variance_law, constraint.poisson
         self.n_width = 3 if self.variance_law else k
         self.log_factorials = _log_factorials(k)
         self.var_parts = _variance_parts(k)
@@ -224,33 +224,27 @@ class _Problem:
 
     def pack(self, x0, spacing, sat, sig, weights, mu) -> np.ndarray:
         """Parameter vector of a ladder model, given as `unpack` returns it."""
-        k = self.k
-        head = [x0, spacing, sat]
         w = np.maximum(weights, 1e-12)
-        logits = list(np.log(w[1:] / w[0]))
-        if self.constraint is Constraint.FREE_WEIGHTS_FREE_SIGMAS:
-            return np.array(head + list(np.log(sig)) + logits)
-        if self.constraint is Constraint.POISSON_WEIGHTS:
-            if mu is None or mu <= 0:
-                mu = max(float(np.sum(weights * self.idx)), 0.1)
-            return np.array(head + list(np.log(sig)) + [math.log(mu)])
-        # LINEAR_VARIANCE: split the sigma ladder into its three components
-        mean_var = float(np.mean(sig**2))
-        floor = max(1e-3 * mean_var, 1e-9)
-        if k >= 3:
-            v_elec, v_0, v_m = _variance_components(sig, w)[0]
+        if self.variance_law:           # split the sigma ladder into its three components
+            mean_var = float(np.mean(sig**2))
+            floor = max(1e-3 * mean_var, 1e-9)
+            v_elec, v_0, v_m = (_variance_components(sig, w)[0] if self.k >= 3
+                                else (sig[0] ** 2, floor, floor))
+            if v_m < floor and v_0 < floor:
+                # A flat sigma ladder (one hand-written width) would strand the optimizer
+                # with everything in the electronic term: spread the variance evenly.
+                v_elec = v_0 = mean_var / 3.0
+                v_m = mean_var / (1.5 * self.k)    # v_m times the mean i, k/2, is mean_var/3
+            else:
+                v_0, v_m = max(v_0, floor), max(v_m, floor)
+            widths = [math.log(v_elec), math.log(v_0), math.log(v_m)]
         else:
-            v_elec, v_0, v_m = sig[0] ** 2, floor, floor
-        if v_m < floor and v_0 < floor:
-            # Flat sigma ladder (a hand-written init with one width): a
-            # floor-sized slope leaves the optimizer stranded with everything
-            # in the electronic term, so spread the variance evenly across
-            # the components.
-            v_elec = v_0 = mean_var / 3.0
-            v_m = mean_var / (1.5 * k)       # v_m times the mean i, k/2, is mean_var/3
+            widths = list(np.log(sig))
+        if self.poisson:                # no mu given: the weights' mean number
+            shares = [math.log(max(float(np.sum(weights * self.idx)), 0.1) if mu is None else mu)]
         else:
-            v_0, v_m = max(v_0, floor), max(v_m, floor)
-        return np.array(head + [math.log(v_elec), math.log(v_0), math.log(v_m)] + logits)
+            shares = list(np.log(w[1:] / w[0]))
+        return np.array([x0, spacing, sat] + widths + shares)
 
     def unpack(self, p: np.ndarray):
         """-> (x0, spacing, sat, sigmas, weights, mu_or_None)"""

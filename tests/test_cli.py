@@ -254,6 +254,18 @@ def test_fit_tolerance_below_its_floor_exit_2(tmp_path, sim_config, capsys):
     assert not (tmp_path / "fit").exists()
 
 
+@pytest.mark.parametrize("mu", [0, -2.0])
+def test_fit_poisson_init_mean_not_positive_exit_2(tmp_path, sim_config, capsys, mu):
+    # a Poisson mean <= 0 is refused, not replaced by the weights' mean
+    _, out = run_sim(tmp_path, sim_config)
+    init = {"x0": 0.0, "delta": 135.0, "stds": [10.0] * 5, "weights": [0.2] * 5, "mu": mu}
+    fit_cfg = write_config(tmp_path / "fit.json", dict(FIT_DOC, constraint="poisson", init=init))
+    assert main(["fit", str(out / "histogram.csv"), fit_cfg,
+                 "--out-dir", str(tmp_path / "fit"), "--quiet"]) == 2
+    assert f"poisson_mu must be a finite number > 0, got {mu!r}" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
 def test_simulate_accepts_integral_floats(tmp_path):
     cfg = write_config(tmp_path / "sim.json",
                        {"model": SIM_MODEL, "n_pulses": 2e3, "seed": 16.0})

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 import pnr_lab
 from pnr_lab import (Constraint, DecisionScheme, DetectorModel, EfficiencyInput, FitConfig,
-                     GaussianPeak, Histogram, MixtureModel, NoiseReport, SimConfig,
-                     excess_noise_factor, histogram_from_areas, n_max, photon_flux, substream,
-                     threshold)
+                     GaussianPeak, Histogram, MixtureModel, NoiseReport, SimConfig, confusion,
+                     excess_noise_factor, histogram_from_areas, n_max, one_vs_many_error,
+                     photon_flux, substream, threshold)
 from pnr_lab.core import (_finite, _interval_mass, _ladder, _log_factorials, _normalized_exp,
                           _poisson_log_pmf, _std_normal_cdf_pdf, _variance_parts)
 
@@ -272,6 +272,10 @@ def _small_model(**extra):
                          electronic_noise_var=5.0, **extra)
 
 
+def _four_peaks():
+    return MixtureModel.from_peaks([0.0, 100.0, 200.0, 300.0], [10.0] * 4)
+
+
 # a bool is a numbers.Real, but never one of these numbers
 @pytest.mark.parametrize("make", [
     lambda: FitConfig(tolerance=True),
@@ -291,9 +295,11 @@ def _small_model(**extra):
     lambda: photon_flux(True, 2e-9),
     lambda: excess_noise_factor(True, 135.0),
     lambda: n_max(True),
+    lambda: confusion(_four_peaks(), [True, True, False, False]),
+    lambda: one_vs_many_error(_four_peaks(), [True, True, True, "1"]),
 ], ids=["tolerance", "mean_photon_number", "bin_width", "peak_mean", "x0", "std_devs",
         "poisson_mu", "threshold", "nd_transmission", "loss_factors", "photon_flux",
-        "excess_noise_factor", "n_max"])
+        "excess_noise_factor", "n_max", "confusion_priors", "one_vs_many_priors"])
 def test_finite_number_fields_refuse_bools(make):
     with pytest.raises(ValueError, match="must be a finite number.*got True"):
         make()
@@ -409,6 +415,43 @@ def test_constraint_parse(text, member):
 def test_constraint_parse_rejects_unknown():
     with pytest.raises(ValueError):
         Constraint.parse("bananas")
+
+
+@pytest.mark.parametrize("member, value, variance_law, poisson", [
+    (Constraint.FREE_WEIGHTS_FREE_SIGMAS, "free", False, False),
+    (Constraint.POISSON_WEIGHTS, "poisson", False, True),
+    (Constraint.LINEAR_VARIANCE, "linear_variance", True, False),
+])
+def test_constraint_pairs_a_width_law_with_a_weight_law(member, value, variance_law, poisson):
+    """Each member's laws match its name, and its config spellings are unchanged."""
+    assert (member.variance_law, member.poisson) == (variance_law, poisson)
+    assert member.value == value and Constraint(value) is member
+    for text in (value, member.name, member.name.lower()):
+        assert Constraint.parse(text) is member
+    assert len(Constraint) == 3
+
+
+def test_no_module_compares_a_constraint_member():
+    """A regime's laws are read from its flags: no `is`, `==` or `in` test
+    against a particular member anywhere in the package."""
+    found = []
+    for path in sorted(Path(pnr_lab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                found += [(path.name, node.lineno) for ref in ast.walk(node)
+                          if isinstance(ref, ast.Attribute) and ref.attr in Constraint.__members__
+                          and isinstance(ref.value, ast.Name) and ref.value.id == "Constraint"]
+    assert found == []
+
+
+@pytest.mark.parametrize("mu", [0, 0.0, -2.0, -1e-300])
+def test_poisson_mean_must_be_positive(mu):
+    with pytest.raises(ValueError, match=f"poisson_mu must be a finite number > 0, got {mu!r}"):
+        MixtureModel.from_ladder(0.0, 100.0, 0.0, [5.0, 6.0], [0.5, 0.5],
+                                 Constraint.POISSON_WEIGHTS, poisson_mu=mu)
+    with pytest.raises(ValueError, match="POISSON_WEIGHTS model requires poisson_mu"):
+        MixtureModel.from_ladder(0.0, 100.0, 0.0, [5.0, 6.0], [0.5, 0.5],
+                                 Constraint.POISSON_WEIGHTS)
 
 
 def test_poisson_weights_normalized_pmf():

@@ -377,6 +377,10 @@ def test_confusion_matrix_validation():
     for bad, shown in ((math.nan, "nan"), (-0.5, "-0.5"), (math.inf, "inf")):
         with pytest.raises(ValueError, match=rf"priors\[1\] must be a finite number >= 0, got {shown}"):
             ConfusionMatrix(np.eye(2), (0.5, bad))
+    # one prior per class, as DecisionScheme asks
+    for bad in ((0.5, 0.5, 0.3), (1.0,)):
+        with pytest.raises(ValueError, match=rf"priors must have length 2, got {len(bad)}"):
+            ConfusionMatrix(np.eye(2), bad)
     model = MixtureModel.from_peaks([0.0, 100.0, 200.0, 300.0], [10.0] * 4)
     for bad in ([0.5, 0.5], [-1, 2, 0, 0], [0, 0, 0, 0], [math.nan, 1, 1, 1],
                 [math.inf, 1, 1, 1]):
@@ -384,6 +388,12 @@ def test_confusion_matrix_validation():
             confusion(model, bad)
     # kept as given, not normalized: analysis.json publishes them
     assert confusion(model, [2, 2, 0, 0]).priors == (2.0, 2.0, 0.0, 0.0)
+    # read by the package's number rule: a bool or a string is not a prior
+    for bad, shown in (([1.0, True, 0.0, 0.0], "True"), ([1.0, "1", 0.0, 0.0], "'1'")):
+        for call in (confusion, one_vs_many_error):
+            with pytest.raises(ValueError, match=rf"priors\[1\] must be a finite number >= 0, "
+                                                 rf"got {shown}"):
+                call(model, bad)
 
 
 

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from pnr_lab import (Constraint, DegenerateDesignError, DetectorModel, FitConfig
                      Histogram, MixtureModel, SimConfig, expected_counts, fit_spectrum,
                      histogram_from_areas, init_guess, report_from_json,
                      report_to_json, run)
+from pnr_lab.cli import _json
 from pnr_lab.core import _ladder
 from pnr_lab.fit import _guess, _plateau_maxima, _Problem
 
@@ -162,12 +165,17 @@ def test_plateau_maxima_cases():
 
 # ---------------------------------------------------------------- machinery
 
+# a regime no member has yet: the variance law with Poisson weights
+LAW_X_POISSON = SimpleNamespace(variance_law=True, poisson=True)
+
+
 def test_free_parameter_counts():
     h = synthetic_hist(MixtureModel.from_ladder(0, 100, 0, [8, 9, 10],
                                                 [0.3, 0.4, 0.3]))
     for kind, expect in [(Constraint.FREE_WEIGHTS_FREE_SIGMAS, 2 * 3 + 2),
                          (Constraint.POISSON_WEIGHTS, 3 + 4),
-                         (Constraint.LINEAR_VARIANCE, 3 + 5)]:
+                         (Constraint.LINEAR_VARIANCE, 3 + 5),
+                         (LAW_X_POISSON, 3 + 3 + 1)]:
         p = _Problem(h, kind, 3)
         assert p.n_params() == expect, kind
 
@@ -204,6 +212,7 @@ def test_init_guess_ladder_is_the_core_ladder(k):
     # log v_0 past the +/-30 clip: the model does not move with it
     pytest.param(Constraint.LINEAR_VARIANCE, -40.0, id="linear_variance-v0_clipped_low"),
     pytest.param(Constraint.LINEAR_VARIANCE, 40.0, id="linear_variance-v0_clipped_high"),
+    pytest.param(LAW_X_POISSON, None, id="law_x_poisson"),
 ])
 def test_jacobian_matches_finite_differences(kind, log_v0):
     model = MixtureModel.from_ladder(2.0, 100.0, 1.0, [9.0, 12.0, 15.0],
@@ -513,7 +522,8 @@ def test_report_from_json_rejects_garbage():
                                           ("warnings", 5), ("warnings", "rank"), ("converged", "false"),
                                           ("converged", 1), ("converged", None),
                                           ("iterations", 2.9), ("iterations", -1),
-                                          ("iterations", True), ("iterations", "3")])
+                                          ("iterations", True), ("iterations", "3"),
+                                          ("mu", -2), ("mu", 0)])
 def test_report_from_json_rejects_mistyped_fields(field, value):
     doc = {"constraint": "free",
            "peaks": [{"i": i, "mean": 100.0 * i, "std": 5.0, "weight": 1 / 3}
@@ -542,3 +552,25 @@ def test_expected_counts_totals(law_model):
     assert per_peak.shape == (7, 199)
     assert np.allclose(per_peak.sum(axis=0), total)
     assert total.sum() == pytest.approx(5000.0, rel=2e-3)  # tails clipped
+
+
+# sha256 of the fit_report.json text of one small seeded run under each regime
+REGIME_REPORT_SHA256 = {
+    "free": "34eb82ddae2ee4042a112da1799b2948d6c1730bdd181e9af79c1cb0738165ac",
+    "poisson": "95b07fbcb6bf5584352bc44269f47916b64761c49b7ae573513e6dd0061f6d94",
+    "linear_variance": "a1c4cf6a2dd738eea090ba07302e5b55ffb6cae610461f64466e8aeedea09eac",
+}
+
+
+def test_every_regime_report_matches_pinned_digest():
+    """A refactor of the fit moves no byte of any regime's report."""
+    model = DetectorModel(mean_photon_number=1.411764705882353, quantum_efficiency=0.85,
+                          gain_per_photon=135.0, mult_noise_var=276.0,
+                          electronic_noise_var=112.36, extra_per_photon_var=246.0)
+    _, hist = run(SimConfig(model=model, n_pulses=20_000, seed=31))
+    digests = {}
+    for kind in Constraint:
+        rep = fit_spectrum(hist, FitConfig(n_peaks=5, constraint=kind))
+        assert rep.converged and not rep.warnings, kind
+        digests[kind.value] = hashlib.sha256(_json(report_to_json(rep)).encode()).hexdigest()
+    assert digests == REGIME_REPORT_SHA256
