@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -80,6 +80,7 @@ def _erfcx_cells() -> np.ndarray:
     vander = (400.0 / (4.0 + u.astype(float)) - cells)[..., None] ** k
     table = np.zeros((101, 7))
     table[14:] = np.linalg.solve(vander, y[..., None])[..., ::-1, 0]
+    table.setflags(write=False)
     return table
 
 
@@ -355,12 +356,18 @@ class Constraint(Enum):
         return member
 
     @classmethod
-    def parse(cls, text: str) -> "Constraint":
+    def parse(cls, value) -> "Constraint":
+        """A member as is, or the member its name spells: the one rule for both
+        `FitConfig.constraint` and `MixtureModel.constraint_kind`."""
+        if isinstance(value, cls):
+            return value
+        if not isinstance(value, str):
+            raise TypeError(f"constraint must be a Constraint or its name, got {value!r}")
         for member in cls:
-            if text in (member.value, member.name, member.name.lower()):
+            if value in (member.value, member.name, member.name.lower()):
                 return member
         raise ValueError(
-            f"unknown constraint {text!r}; expected one of "
+            f"unknown constraint {value!r}; expected one of "
             + ", ".join(m.value for m in cls)
         )
 
@@ -382,6 +389,8 @@ class MixtureModel:
     sat: float
     constraint_kind: Constraint = Constraint.FREE_WEIGHTS_FREE_SIGMAS
     poisson_mu: float | None = None
+    # prior mode -> (cuts, priors, mass) of discriminate._cuts_and_mass
+    _partitions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         peaks = tuple(self.peaks)
@@ -395,6 +404,7 @@ class MixtureModel:
         total = sum(p.weight for p in peaks)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"peak weights must sum to 1 within 1e-9, got {total!r}")
+        object.__setattr__(self, "constraint_kind", Constraint.parse(self.constraint_kind))
         if self.constraint_kind.poisson and self.poisson_mu is None:
             raise ValueError(f"{self.constraint_kind.name} model requires poisson_mu")
         if self.poisson_mu is not None:

@@ -56,6 +56,9 @@ class ConfusionMatrix:
         object.__setattr__(self, "priors", _finite_floats("priors", self.priors, 0))
         if len(self.priors) != len(m):
             raise ValueError(f"priors must have length {len(m)}, got {len(self.priors)}")
+        if not 0 < sum(self.priors) < math.inf:
+            raise ValueError(f"priors must not all be zero and their sum must be finite, "
+                             f"got {list(self.priors)}")
 
 
 def threshold(x_i: float, sigma_i: float, x_next: float, sigma_next: float) -> float:
@@ -128,16 +131,13 @@ def build_scheme(model: MixtureModel, priors: str = "equal") -> DecisionScheme:
     return DecisionScheme(thresholds=cuts, priors=pri, error_per_number=err)
 
 
-_LAST_PARTITION = {}    # prior mode -> (model, cuts, priors, mass) of the last model
-
-
 def _cuts_and_mass(model: MixtureModel, priors: str):
     """Cuts, normalized priors and mass[j, i], the unit mass of peak j inside
     region i of the cuts, for the prior mode of `build_scheme`: a tuple and two
-    read-only arrays, kept for the last model (by identity) of each mode."""
-    last = _LAST_PARTITION.get(priors) if isinstance(priors, str) else None
-    if last is not None and last[0] is model:
-        return last[1:]
+    read-only arrays, kept on the model for each mode it was partitioned under."""
+    kept = model._partitions.get(priors) if isinstance(priors, str) else None
+    if kept is not None:
+        return kept
     k = model.n_peaks
     if k < 2:
         raise InvalidModelError("need at least 2 peaks for a decision scheme")
@@ -163,20 +163,8 @@ def _cuts_and_mass(model: MixtureModel, priors: str):
     mass = np.ascontiguousarray(mass.T)
     for a in (pri, mass):
         a.setflags(write=False)
-    _LAST_PARTITION[priors] = (model, cuts, pri, mass)
-    return cuts, pri, mass
-
-
-def _checked_priors(priors, k: int) -> np.ndarray:
-    """`priors` as a float array of length k by `_finite`'s rule, >= 0, with a
-    finite sum that is not zero."""
-    pri = np.array(_finite_floats("priors", priors, 0))
-    if pri.shape != (k,):
-        raise ValueError(f"priors must have length {k}, got {len(pri)}")
-    if not 0 < pri.sum() < math.inf:
-        raise ValueError(f"priors must not all be zero and their sum must be finite, "
-                         f"got {pri.tolist()}")
-    return pri
+    model._partitions[priors] = kept = (cuts, pri, mass)
+    return kept
 
 
 def classify(area, scheme: DecisionScheme):
@@ -203,14 +191,14 @@ def one_vs_many_error(model: MixtureModel, priors) -> float:
 
     Classes {0}, {1}, {>=2} are formed by collapsing the scheme's regions,
     so the only boundary that matters is the 1-2 threshold.  `priors` is a
-    per-photon-number array; the result is the prior-weighted error
-    probability restricted to the classes {1} and {>=2}.
+    per-photon-number array, read by `ConfusionMatrix`'s rule; the result is
+    the prior-weighted error probability restricted to the classes {1} and {>=2}.
     """
     if model.n_peaks < 3:
         raise InvalidModelError("one-vs-many needs peaks 0, 1 and at least one more")
-    pri = _checked_priors(priors, model.n_peaks)
-    pri = pri / pri.sum()
-    _, _, mass = _cuts_and_mass(model, "equal")
+    cm = confusion(model, priors)
+    mass, pri = cm.matrix, np.array(cm.priors)
+    pri /= pri.sum()
     p_one = pri[1]
     p_many = pri[2:].sum()
     if p_one + p_many <= 0:
@@ -226,6 +214,4 @@ def confusion(model: MixtureModel, priors) -> ConfusionMatrix:
     Rows are conditional on the true number, so the priors do not change the
     entries; they are carried along for downstream weighting.
     """
-    _, _, mass = _cuts_and_mass(model, "equal")
-    return ConfusionMatrix(mass, tuple(_checked_priors(priors, model.n_peaks)))
-
+    return ConfusionMatrix(_cuts_and_mass(model, "equal")[2], priors)

@@ -1,4 +1,5 @@
 import ast
+import collections.abc as abc
 import importlib
 import math
 import os
@@ -70,6 +71,23 @@ def test_every_exported_name_resolves():
         namespace = {}
         exec(f"from {name} import *", namespace)
         assert set(module.__all__) <= set(namespace), name
+
+
+def test_no_module_holds_mutable_state():
+    """No module binds a dict, list, set or writeable array at module level
+    beyond `__all__` and what the import system sets: a memo belongs on the
+    value it describes, where it cannot leak between callers or threads."""
+    mutable = (abc.MutableMapping, abc.MutableSequence, abc.MutableSet)
+    found = []
+    for path in sorted(Path(pnr_lab.__file__).parent.glob("*.py")):
+        name = "pnr_lab" if path.stem == "__init__" else f"pnr_lab.{path.stem}"
+        for attr, value in vars(importlib.import_module(name)).items():
+            if attr in ("__all__", "__builtins__", "__path__"):
+                continue
+            if isinstance(value, mutable) or (isinstance(value, np.ndarray)
+                                              and value.flags.writeable):
+                found.append(f"{name}.{attr}")
+    assert found == []
 
 
 # ---------------------------------------------------------------- substream

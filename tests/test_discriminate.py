@@ -1,7 +1,9 @@
 """Decision thresholds, regions, error rates, confusion matrices."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -381,6 +383,11 @@ def test_confusion_matrix_validation():
     for bad in ((0.5, 0.5, 0.3), (1.0,)):
         with pytest.raises(ValueError, match=rf"priors must have length 2, got {len(bad)}"):
             ConfusionMatrix(np.eye(2), bad)
+    # a positive finite sum, the rule confusion and one_vs_many_error read priors by
+    for bad in ((0.0, 0.0, 0.0), (1e308, 1e308, 0.0)):
+        with pytest.raises(ValueError, match="priors must not all be zero and their sum "
+                                             "must be finite"):
+            ConfusionMatrix(np.eye(3), bad)
     model = MixtureModel.from_peaks([0.0, 100.0, 200.0, 300.0], [10.0] * 4)
     for bad in ([0.5, 0.5], [-1, 2, 0, 0], [0, 0, 0, 0], [math.nan, 1, 1, 1],
                 [math.inf, 1, 1, 1]):
@@ -388,6 +395,11 @@ def test_confusion_matrix_validation():
             confusion(model, bad)
     # kept as given, not normalized: analysis.json publishes them
     assert confusion(model, [2, 2, 0, 0]).priors == (2.0, 2.0, 0.0, 0.0)
+    # the model is refused before its priors, by one_vs_many_error as by confusion
+    crossless = MixtureModel.from_peaks([0.0, 0.5, 200.0], [1.0, 100.0, 100.0])
+    for call in (confusion, one_vs_many_error):
+        with pytest.raises(NoIntersectionError):
+            call(crossless, [math.nan, 1.0])
     # read by the package's number rule: a bool or a string is not a prior
     for bad, shown in (([1.0, True, 0.0, 0.0], "True"), ([1.0, "1", 0.0, 0.0], "'1'")):
         for call in (confusion, one_vs_many_error):
@@ -439,12 +451,28 @@ def test_decisions_partition_each_model_once(monkeypatch):
     real = discriminate._interval_mass
     monkeypatch.setattr(discriminate, "_interval_mass",
                         lambda *args: masses.append(args) or real(*args))
-    first, second = _skewed_model(), _skewed_model()
-    for model in (first, second, first):
-        for call in DECISIONS.values():
-            call(model)
-    # one partition per mode and model; going back to `first` partitions it again
-    assert len(masses) == 6
+    for order in itertools.permutations(DECISIONS):
+        masses.clear()
+        first, second = _skewed_model(), _skewed_model()
+        for model in (first, second, first):
+            for name in order:
+                DECISIONS[name](model)
+        # one partition per prior mode and model: going back to `first` reads
+        # its kept partitions, whichever mode was asked last
+        assert len(masses) == 4, order
+
+
+def test_kept_partitions_are_not_part_of_the_model():
+    model = _skewed_model()
+    for call in DECISIONS.values():
+        call(model)
+    assert model == _skewed_model() and hash(model) == hash(_skewed_model())
+    assert repr(model) == repr(_skewed_model())
+    # freed with the model: nothing outside it holds the model or its partitions
+    kept = weakref.ref(model)
+    del model
+    gc.collect()
+    assert kept() is None
 
 
 def test_decision_arrays_are_read_only():
@@ -494,5 +522,5 @@ def test_a_refused_model_is_refused_again(model, mode, error):
                 with pytest.raises(error):
                     call(model)
     assert len(messages) == 1
-    # the refusal leaves the last model partitioned as it was
+    # the refusal leaves the good model's partition as it was
     assert _bits(build_scheme(good, mode)) == expected
