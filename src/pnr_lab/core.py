@@ -159,6 +159,19 @@ def _finite_floats(name: str, values, at_least=None) -> tuple:
     return tuple(map(float, values))
 
 
+def _checked_priors(priors, k: int) -> tuple:
+    """`priors` as a tuple of floats if they are one finite number >= 0 for each
+    of `k` classes with a positive finite sum: the one prior rule, read by
+    `DecisionScheme`, `ConfusionMatrix` and `one_vs_many_error`."""
+    priors = _finite_floats("priors", priors, 0)
+    if len(priors) != k:
+        raise ValueError(f"priors must have length {k}, got {len(priors)}")
+    if not 0 < sum(priors) < math.inf:
+        raise ValueError(f"priors must not all be zero and their sum must be finite, "
+                         f"got {list(priors)}")
+    return priors
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """`a` if it is read-only, else a read-only copy: a caller's array stays writeable."""
     if a.flags.writeable:
@@ -389,7 +402,7 @@ class MixtureModel:
     sat: float
     constraint_kind: Constraint = Constraint.FREE_WEIGHTS_FREE_SIGMAS
     poisson_mu: float | None = None
-    # prior mode -> (cuts, priors, mass) of discriminate._cuts_and_mass
+    # prior mode -> (DecisionScheme, read-only mass[j, i]) of discriminate._cuts_and_mass
     _partitions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -482,7 +495,8 @@ class DecisionScheme:
     Region i is (t_i, t_{i+1}] with t_0 = -inf and t_K = +inf; a pulse area
     equal to a threshold belongs to the lower region.  `error_per_number[i]`
     is the prior-weighted foreign mass inside region i (see
-    discriminate.build_scheme for the exact normalization).
+    discriminate.build_scheme for the exact normalization).  The priors
+    follow `_checked_priors`, the rule `ConfusionMatrix` reads them by.
     """
 
     thresholds: tuple
@@ -490,14 +504,15 @@ class DecisionScheme:
     error_per_number: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "thresholds", thr := _finite_floats("thresholds", self.thresholds))
+        object.__setattr__(self, "priors", _checked_priors(self.priors, len(thr) + 1))
         # errors are not bounded below: the tail masses behind them are not
         # shown to be >= 0 to the last ulp
-        for name, least in (("thresholds", None), ("priors", 0), ("error_per_number", None)):
-            object.__setattr__(self, name, _finite_floats(name, getattr(self, name), least))
-        thr = self.thresholds
+        object.__setattr__(self, "error_per_number",
+                           _finite_floats("error_per_number", self.error_per_number))
         if any(b <= a for a, b in zip(thr, thr[1:])):
             raise ValueError("thresholds must be strictly increasing")
-        if len(self.priors) != len(thr) + 1 or len(self.error_per_number) != len(thr) + 1:
+        if len(self.error_per_number) != len(thr) + 1:
             raise ValueError("need exactly K-1 thresholds for K classes")
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DecisionScheme, MixtureModel, _finite, _finite_floats, _interval_mass,
-                   _read_only)
+from .core import DecisionScheme, MixtureModel, _checked_priors, _finite, _interval_mass, _read_only
 
 __all__ = [
     "ConfusionMatrix",
@@ -53,12 +52,7 @@ class ConfusionMatrix:
         if not np.abs(m.sum(axis=1) - 1.0).max() <= 1e-9:   # a NaN sum fails too
             raise ValueError("confusion matrix rows must sum to 1 within 1e-9")
         object.__setattr__(self, "matrix", _read_only(m))
-        object.__setattr__(self, "priors", _finite_floats("priors", self.priors, 0))
-        if len(self.priors) != len(m):
-            raise ValueError(f"priors must have length {len(m)}, got {len(self.priors)}")
-        if not 0 < sum(self.priors) < math.inf:
-            raise ValueError(f"priors must not all be zero and their sum must be finite, "
-                             f"got {list(self.priors)}")
+        object.__setattr__(self, "priors", _checked_priors(self.priors, len(m)))
 
 
 def threshold(x_i: float, sigma_i: float, x_next: float, sigma_next: float) -> float:
@@ -123,19 +117,20 @@ def build_scheme(model: MixtureModel, priors: str = "equal") -> DecisionScheme:
     relative to a uniform prior.  With equal priors that reduces to the
     plain foreign-mass sum  sum_{j!=i} integral_region_i phi_j.  All modeled
     peaks contribute, not just neighbors (non-adjacent terms are tiny for
-    realistic ladders but cost nothing).
+    realistic ladders but cost nothing).  The scheme is built once per model
+    and mode and kept on the model, so a repeated call returns the same
+    object; any other `priors` raises ValueError after the model's refusals.
     """
-    cuts, pri, mass = _cuts_and_mass(model, priors)
-    rel = pri * model.n_peaks  # prior relative to uniform
-    err = rel @ mass - rel * mass.diagonal()
-    return DecisionScheme(thresholds=cuts, priors=pri, error_per_number=err)
+    return _cuts_and_mass(model, priors)[0]
 
 
 def _cuts_and_mass(model: MixtureModel, priors: str):
-    """Cuts, normalized priors and mass[j, i], the unit mass of peak j inside
-    region i of the cuts, for the prior mode of `build_scheme`: a tuple and two
-    read-only arrays, kept on the model for each mode it was partitioned under."""
-    kept = model._partitions.get(priors) if isinstance(priors, str) else None
+    """The finished `DecisionScheme` of `build_scheme`'s prior mode and the
+    read-only mass[j, i], the unit mass of peak j inside region i of its cuts:
+    kept on the model for each mode it was partitioned under, and the one place
+    a scheme is built."""
+    mode = priors if isinstance(priors, str) else None  # no array compare or hash
+    kept = model._partitions.get(mode)
     if kept is not None:
         return kept
     k = model.n_peaks
@@ -146,9 +141,9 @@ def _cuts_and_mass(model: MixtureModel, priors: str):
     if not np.all(np.diff(means) > 0):
         raise InvalidModelError("peak means must be strictly increasing")
 
-    if priors == "equal":
+    if mode == "equal":
         pri = np.full(k, 1.0 / k)
-    elif priors == "from-weights":
+    elif mode == "from-weights":
         w = model.weights()
         if (w <= 0).any():
             raise InvalidModelError("from-weights priors require strictly positive weights")
@@ -161,9 +156,10 @@ def _cuts_and_mass(model: MixtureModel, priors: str):
     mass = _interval_mass([-np.inf, *cuts, np.inf], means, sigmas)[0]
     # C order: matmul and row sums over a transposed view add in another order
     mass = np.ascontiguousarray(mass.T)
-    for a in (pri, mass):
-        a.setflags(write=False)
-    model._partitions[priors] = kept = (cuts, pri, mass)
+    mass.setflags(write=False)
+    rel = pri * k  # prior relative to uniform
+    err = rel @ mass - rel * mass.diagonal()
+    model._partitions[mode] = kept = (DecisionScheme(cuts, pri, err), mass)
     return kept
 
 
@@ -191,13 +187,14 @@ def one_vs_many_error(model: MixtureModel, priors) -> float:
 
     Classes {0}, {1}, {>=2} are formed by collapsing the scheme's regions,
     so the only boundary that matters is the 1-2 threshold.  `priors` is a
-    per-photon-number array, read by `ConfusionMatrix`'s rule; the result is
-    the prior-weighted error probability restricted to the classes {1} and {>=2}.
+    per-photon-number array, read by `ConfusionMatrix`'s rule after the model,
+    and the masses are the model's kept equal-prior ones `confusion` wraps; the
+    result is the prior-weighted error probability restricted to the classes {1} and {>=2}.
     """
     if model.n_peaks < 3:
         raise InvalidModelError("one-vs-many needs peaks 0, 1 and at least one more")
-    cm = confusion(model, priors)
-    mass, pri = cm.matrix, np.array(cm.priors)
+    mass = _cuts_and_mass(model, "equal")[1]
+    pri = np.array(_checked_priors(priors, model.n_peaks))
     pri /= pri.sum()
     p_one = pri[1]
     p_many = pri[2:].sum()
@@ -214,4 +211,4 @@ def confusion(model: MixtureModel, priors) -> ConfusionMatrix:
     Rows are conditional on the true number, so the priors do not change the
     entries; they are carried along for downstream weighting.
     """
-    return ConfusionMatrix(_cuts_and_mass(model, "equal")[2], priors)
+    return ConfusionMatrix(_cuts_and_mass(model, "equal")[1], priors)

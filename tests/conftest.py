@@ -32,6 +32,20 @@ def law_stds(k):
     return np.sqrt(REF_ELEC_VAR + np.where(i > 0, REF_EXTRA_VAR, 0.0) + i * REF_MULT_VAR)
 
 
+# the fit_designs benchmark's design box: mean detections, QE, gain, then the
+# multiplication, electronic and per-photon widths relative to the gain
+DESIGN_BOX = np.array([(0.5, 5.0), (0.5, 0.95), (100.0, 200.0),
+                       (0.05, 0.2), (0.05, 0.12), (0.0, 0.15)])
+
+
+def box_model(mean_detected, qe, gain, m_rel, e_rel, o_rel) -> DetectorModel:
+    """The detector at one point of DESIGN_BOX."""
+    return DetectorModel(mean_photon_number=mean_detected / qe, quantum_efficiency=qe,
+                         gain_per_photon=gain, mult_noise_var=(m_rel * gain) ** 2,
+                         electronic_noise_var=(e_rel * gain) ** 2,
+                         extra_per_photon_var=(o_rel * gain) ** 2)
+
+
 @pytest.fixture
 def ref_detector():
     """Generator whose mean detected count is 3.0 (3.5294 incident at 85% QE)."""

@@ -141,17 +141,24 @@ def test_interval_mass_columns_match_one_peak_calls():
             assert np.array_equal(whole[:, j], col[:, 0])
 
 
-def _scopes_using(node, name, scope=None):
-    """The enclosing function (None at module level) of every reference to
-    `name` below `node`: a load, an attribute or an import."""
+def _scoped(node, scope=None):
+    """Every node below `node`, with its enclosing function (None at module level)."""
     for child in ast.iter_child_nodes(node):
-        ref = (child.id if isinstance(child, ast.Name) else
-               child.attr if isinstance(child, ast.Attribute) else
-               child.name if isinstance(child, ast.alias) else None)
-        if ref == name:
-            yield scope
+        yield scope, child
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
-        yield from _scopes_using(child, name, inner)
+        yield from _scoped(child, inner)
+
+
+def _ref(node):
+    """The name a load, an attribute or an import refers to, else None."""
+    return (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else
+            node.name if isinstance(node, ast.alias) else None)
+
+
+def _scopes_using(node, name):
+    """The enclosing function of every reference to `name` below `node`."""
+    return (scope for scope, child in _scoped(node) if _ref(child) == name)
 
 
 def test_normal_kernel_has_one_caller():
@@ -167,10 +174,23 @@ def _function(path: Path, name: str) -> ast.FunctionDef:
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
+def _states_a_sum_bound(node) -> bool:
+    """A comparison of a `sum(...)` or `.sum()` against infinity, as the prior rule's
+    `0 < sum(priors) < math.inf`."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return (any(isinstance(o, ast.Call) and _ref(o.func) == "sum" for o in operands)
+            and any(_ref(o) == "inf" for o in operands))
+
+
 def test_ladder_is_spelled_once():
     """The sampler reads the ladder and its variance law from `run`'s
     `_ladder` tables, never from the model's gain or noise fields, and the
-    regression's explicit design matrix stays inside core and fit."""
+    regression's explicit design matrix stays inside core and fit.  Likewise
+    the prior rule is stated once, in `core._checked_priors`, and a
+    `DecisionScheme` is built only by `discriminate._cuts_and_mass`, which
+    keeps it on its model."""
     src = Path(pnr_lab.__file__).parent
     read = {node.attr for node in ast.walk(_function(src / "simulate.py", "_sample_chunk"))
             if isinstance(node, ast.Attribute)}
@@ -179,6 +199,14 @@ def test_ladder_is_spelled_once():
     users = {path.name for path in src.glob("*.py")
              for _ in _scopes_using(ast.parse(path.read_text()), "_variance_parts")}
     assert users == {"core.py", "fit.py"}
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    rules = [(name, scope) for name, tree in trees.items() for scope, node in _scoped(tree)
+             if _states_a_sum_bound(node) or isinstance(node, ast.Constant)
+             and "must not all be zero" in str(node.value)]
+    assert rules == [("core.py", "_checked_priors")] * 2
+    builders = [(name, scope) for name, tree in trees.items() for scope, node in _scoped(tree)
+                if isinstance(node, ast.Call) and _ref(node.func) == "DecisionScheme"]
+    assert builders == [("discriminate.py", "_cuts_and_mass")]
 
 
 _ladder_floats = st.floats(-1e6, 1e6)

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import re
 import weakref
 
 import numpy as np
@@ -26,8 +27,9 @@ from pnr_lab import (
     threshold,
 )
 from pnr_lab import discriminate
+from pnr_lab.core import _ladder
 
-from conftest import REF_SAT, REF_SPACING, REF_X0, law_stds
+from conftest import DESIGN_BOX, REF_SAT, REF_SPACING, REF_X0, box_model, law_stds
 
 
 def bisect_intersection(x1, s1, x2, s2, w1=1.0, w2=1.0):
@@ -397,9 +399,10 @@ def test_confusion_matrix_validation():
     assert confusion(model, [2, 2, 0, 0]).priors == (2.0, 2.0, 0.0, 0.0)
     # the model is refused before its priors, by one_vs_many_error as by confusion
     crossless = MixtureModel.from_peaks([0.0, 0.5, 200.0], [1.0, 100.0, 100.0])
-    for call in (confusion, one_vs_many_error):
-        with pytest.raises(NoIntersectionError):
-            call(crossless, [math.nan, 1.0])
+    for bad in ([math.nan, 1.0], [0.0, 0.0, 0.0], [-1.0, 1.0, 1.0], [1e308, 1e308, 0.0]):
+        for call in (confusion, one_vs_many_error):
+            with pytest.raises(NoIntersectionError):
+                call(crossless, bad)
     # read by the package's number rule: a bool or a string is not a prior
     for bad, shown in (([1.0, True, 0.0, 0.0], "True"), ([1.0, "1", 0.0, 0.0], "'1'")):
         for call in (confusion, one_vs_many_error):
@@ -478,11 +481,12 @@ def test_kept_partitions_are_not_part_of_the_model():
 def test_decision_arrays_are_read_only():
     model = _skewed_model()
     for mode in ("equal", "from-weights"):
-        cuts, pri, mass = discriminate._cuts_and_mass(model, mode)
-        assert isinstance(cuts, tuple)
-        for a in (pri, mass):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0.0
+        scheme, mass = discriminate._cuts_and_mass(model, mode)
+        assert scheme is build_scheme(model, mode)
+        for field in (scheme.thresholds, scheme.priors, scheme.error_per_number):
+            assert isinstance(field, tuple)
+        with pytest.raises(ValueError, match="read-only"):
+            mass[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         confusion(model, np.full(7, 1 / 7)).matrix[0, 0] = 0.0
 
@@ -496,7 +500,7 @@ def test_confusion_matrix_leaves_the_callers_array_writeable():
     assert cm.matrix[0, 0] == 1.0
     # the shared partition's mass is read-only already, so it is not copied
     model = _skewed_model()
-    _, _, mass = discriminate._cuts_and_mass(model, "equal")
+    _, mass = discriminate._cuts_and_mass(model, "equal")
     assert confusion(model, np.full(7, 1 / 7)).matrix is mass
 
 
@@ -524,3 +528,78 @@ def test_a_refused_model_is_refused_again(model, mode, error):
     assert len(messages) == 1
     # the refusal leaves the good model's partition as it was
     assert _bits(build_scheme(good, mode)) == expected
+
+
+# ---------------------------------------------------------------- one kept scheme, one prior rule
+
+def test_build_scheme_returns_the_kept_scheme():
+    model = _skewed_model()
+    for mode in ("equal", "from-weights"):
+        scheme = build_scheme(model, mode)
+        assert build_scheme(model, mode) is scheme
+        assert _bits(scheme) == _bits(build_scheme(_skewed_model(), mode))
+    assert build_scheme(model, "equal") is not build_scheme(model, "from-weights")
+
+
+@pytest.mark.parametrize("priors", [np.array([0.3, 0.3, 0.4]), [0.3, 0.3, 0.4], None, 1.0])
+def test_build_scheme_refuses_a_mode_that_is_not_a_name(priors):
+    # an array was compared to the mode names and raised numpy's ambiguous-truth error
+    model = _skewed_model()
+    with pytest.raises(ValueError, match="^priors must be 'equal' or 'from-weights', got "):
+        build_scheme(model, priors)
+    assert model._partitions == {}
+    # the model is refused first, as for a misspelt name
+    with pytest.raises(InvalidModelError):
+        build_scheme(MixtureModel.from_peaks([0.0, 100.0, 50.0], [5.0] * 3), priors)
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: DecisionScheme(thresholds=(1.0,), priors=p, error_per_number=(0.0, 0.0)),
+    lambda p: ConfusionMatrix(np.eye(2), p),
+], ids=["DecisionScheme", "ConfusionMatrix"])
+@pytest.mark.parametrize("priors, message", [
+    ((0.0, 0.0), r"priors must not all be zero and their sum must be finite, got \[0.0, 0.0\]"),
+    ((1e308, 1e308), r"priors must not all be zero and their sum must be finite, "
+                     r"got \[1e\+308, 1e\+308\]"),
+    ((0.5, -0.5), r"priors\[1\] must be a finite number >= 0, got -0.5"),
+    ((math.nan, 0.5), r"priors\[0\] must be a finite number >= 0, got nan"),
+    ((0.5, 0.3, 0.2), r"priors must have length 2, got 3"),
+], ids=["zero-sum", "overflowing-sum", "negative", "nan", "wrong-length"])
+def test_schemes_and_confusion_matrices_read_priors_by_one_rule(build, priors, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(priors)
+
+
+def _box_ladder(point, k):
+    """A k-peak law ladder of the detector at `point` of DESIGN_BOX."""
+    det = box_model(*point)
+    means, var = _ladder(k, 0.0, det.gain_per_photon, 0.0, det.electronic_noise_var,
+                         det.extra_per_photon_var, det.mult_noise_var)
+    return MixtureModel.from_peaks(means, np.sqrt(var))
+
+
+def _one_vs_many_from_confusion(model, priors):
+    """one_vs_many_error as it read a `ConfusionMatrix` of the model's masses."""
+    cm = confusion(model, priors)
+    mass, pri = cm.matrix, np.array(cm.priors)
+    pri /= pri.sum()
+    p_one = pri[1]
+    p_many = pri[2:].sum()
+    if p_one + p_many <= 0:
+        raise ValueError("priors give zero mass to both '1' and '>=2'")
+    err = p_one * mass[1, 2:].sum() + pri[2:] @ mass[2:, :2].sum(axis=1)
+    return float(err / (p_one + p_many))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point=st.tuples(*(st.floats(lo, hi) for lo, hi in DESIGN_BOX)), k=st.integers(3, 12),
+       priors=st.lists(st.floats(0.0, 1e3), min_size=12, max_size=12))
+def test_one_vs_many_reads_the_kept_mass_as_confusion_does(point, k, priors):
+    model, pri = _box_ladder(point, k), priors[:k]
+    try:
+        want = _one_vs_many_from_confusion(_box_ladder(point, k), pri)
+    except ValueError as refusal:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refusal))}$"):
+            one_vs_many_error(model, pri)
+        return
+    assert np.float64(one_vs_many_error(model, pri)).tobytes() == np.float64(want).tobytes()

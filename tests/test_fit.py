@@ -18,7 +18,7 @@ from pnr_lab.core import _ladder
 from pnr_lab.fit import _guess, _plateau_maxima, _Problem
 
 from conftest import (REF_ELEC_VAR, REF_EXTRA_VAR, REF_MULT_VAR, REF_SAT, REF_SPACING,
-                      REF_X0, CATALOG_MEANS, CATALOG_STDS, law_stds)
+                      REF_X0, CATALOG_MEANS, CATALOG_STDS, DESIGN_BOX, box_model, law_stds)
 
 
 def synthetic_hist(model, n=200_000, width=11.0, seed=0, lo=None, hi=None):
@@ -374,20 +374,6 @@ def undamped_decrement(hist, constraint, model):
     jw = prob.jacobian(p, *parts) * np.sqrt(prob.wls)[:, None]
     grad = jw.T @ (np.sqrt(prob.wls) * r)
     return float(grad @ np.linalg.pinv(jw.T @ jw, hermitian=True) @ grad)
-
-
-# the fit_designs benchmark's design box: mean detections, QE, gain, then the
-# multiplication, electronic and per-photon widths relative to the gain
-DESIGN_BOX = np.array([(0.5, 5.0), (0.5, 0.95), (100.0, 200.0),
-                       (0.05, 0.2), (0.05, 0.12), (0.0, 0.15)])
-
-
-def box_model(mean_detected, qe, gain, m_rel, e_rel, o_rel) -> DetectorModel:
-    """The detector at one point of DESIGN_BOX."""
-    return DetectorModel(mean_photon_number=mean_detected / qe, quantum_efficiency=qe,
-                         gain_per_photon=gain, mult_noise_var=(m_rel * gain) ** 2,
-                         electronic_noise_var=(e_rel * gain) ** 2,
-                         extra_per_photon_var=(o_rel * gain) ** 2)
 
 
 @settings(max_examples=25, deadline=None)
